@@ -1,23 +1,20 @@
-// BAM preprocessing benchmark: the sequential two-pass preprocessor vs the
-// single-pass parallel pipeline (framing -> parse+encode workers -> ordered
-// commit -> parallel re-stride), plus an analytic model calibrated from the
-// measured serial per-stage costs.
+// BAM preprocessing benchmark: the single-pass pipeline (framing ->
+// parse+encode workers -> ordered commit -> parallel re-stride) at widths
+// 1, 2 and 4, plus an analytic model calibrated from the measured serial
+// per-stage costs.
 //
 // Emits BENCH_preproc.json (path configurable with --json) with two
 // sections:
 //
-//   "measured": real wall-clock seconds of preprocess_bam (two passes,
-//     monolithic BAMX) and preprocess_bam_parallel (BAMXM manifest) on
-//     this machine. On a single-core container the parallel pipeline
-//     cannot beat the sequential passes; the numbers then chiefly bound
-//     the orchestration overhead.
+//   "measured": real wall-clock seconds of preprocess_bam_parallel (BAMXM
+//     manifest) on this machine at each width; width 1 is the sequential
+//     baseline.
 //   "modeled": wall time predicted from the measured serial per-stage
-//     costs under P genuinely concurrent workers. The sequential baseline
-//     pays decode + framing + parse twice (measure pass, encode pass) plus
-//     one encode; the pipeline pays them once, with only record framing as
+//     costs under P genuinely concurrent workers. Run sequentially, every
+//     stage is paid in turn; the pipeline leaves only record framing as
 //     the sequential residue (the paper's §III-B observation):
 //
-//       T_seq(P)  = 2*(t_decode + t_frame + t_parse) + t_encode
+//       T_seq     = t_decode + t_frame + t_parse + t_encode + t_restride
 //       T_pipe(P) = max(t_frame, (t_decode + t_parse + t_encode) / P)
 //                   + t_restride / P
 //
@@ -58,8 +55,7 @@ int main(int argc, char** argv) {
 
   TempDir tmp("bench_preproc");
   const std::string bam_path = tmp.file("input.bam");
-  std::printf("=== BAM preprocessing: two-pass sequential vs one-pass "
-              "parallel ===\n");
+  std::printf("=== BAM preprocessing: one-pass pipeline by width ===\n");
   auto genome = simdata::ReferenceGenome::simulate(
       simdata::mouse_like_references(2'000'000), 99);
   std::vector<sam::AlignmentRecord> records;
@@ -158,13 +154,6 @@ int main(int argc, char** argv) {
   };
 
   std::printf("measured (best of %d runs):\n", repeats);
-  record_best("two-pass", 1, [&] {
-    TempDir out("bench_preproc_seq");
-    auto stats = core::preprocess_bam(bam_path, out.file("x.bamx"),
-                                      out.file("x.baix"),
-                                      /*decode_threads=*/1);
-    return stats.seconds;
-  });
   for (int threads : {1, 2, 4}) {
     record_best("one-pass", threads, [&] {
       TempDir out("bench_preproc_par");
@@ -178,7 +167,7 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------- modeled
-  const double t_seq = 2.0 * (t_decode + t_frame + t_parse) + t_encode;
+  const double t_seq = t_decode + t_frame + t_parse + t_encode + t_restride;
   const std::vector<int> model_threads = {1, 2, 4, 8, 16};
   std::vector<double> modeled_s;
   std::printf("modeled (P concurrent workers, from serial stage costs; "
@@ -187,7 +176,7 @@ int main(int argc, char** argv) {
     double pipe = std::max(t_frame, (t_decode + t_parse + t_encode) / p) +
                   t_restride / p;
     modeled_s.push_back(pipe);
-    std::printf("  P=%-2d %8.3f s (%.2fx over two-pass)\n", p, pipe,
+    std::printf("  P=%-2d %8.3f s (%.2fx over sequential)\n", p, pipe,
                 t_seq / pipe);
   }
 

@@ -32,48 +32,44 @@ int main(int argc, char** argv) {
 
   bench::print_header("Figure 10: SAM preprocessing speedup");
 
-  // Functional check: parallel preprocessing reproduces identical shards.
+  // Functional check: SAM preprocessing at M=1 and M=4 and the BAM
+  // preprocessor over the same records publish one and the same index.
   {
     TempDir tmp("fig10");
     auto genome = simdata::ReferenceGenome::simulate(
         simdata::mouse_like_references(1'000'000), 10);
     simdata::ReadSimConfig rcfg;
     rcfg.seed = 10;
+    auto records = simdata::simulate_alignments(genome, 4000, rcfg);
     const std::string sam_path = tmp.file("in.sam");
-    simdata::write_sam_dataset(sam_path, genome, 4000, rcfg);
-    auto one = core::preprocess_sam_parallel(sam_path, tmp.subdir("m1"), 1);
-    auto four = core::preprocess_sam_parallel(sam_path, tmp.subdir("m4"), 4);
-    std::printf("functional check: %llu records preprocessed, "
-                "M=1 and M=4 record totals %s\n",
-                static_cast<unsigned long long>(one.records),
-                one.records == four.records ? "agree" : "DISAGREE");
-
-    // Same property for the BAM side: the single-pass parallel
-    // preprocessor's shard manifest must convert to the same record total
-    // as the sequential two-pass BAMX.
     const std::string bam_path = tmp.file("in.bam");
     {
-      simdata::ReadSimConfig bcfg;
-      bcfg.seed = 11;
-      auto records = simdata::simulate_alignments(genome, 4000, bcfg);
-      bam::BamFileWriter w(bam_path, genome.header());
+      sam::SamFileWriter sw(sam_path, genome.header());
+      bam::BamFileWriter bw(bam_path, genome.header());
       for (const auto& r : records) {
-        w.write(r);
+        sw.write(r);
+        bw.write(r);
       }
-      w.close();
+      sw.close();
+      bw.close();
     }
-    auto seq = core::preprocess_bam(bam_path, tmp.file("seq.bamx"),
-                                    tmp.file("seq.baix"));
+    auto one = core::preprocess_sam_parallel(sam_path, tmp.file("m1.bamxm"),
+                                             tmp.file("m1.baix"), 1);
+    auto four = core::preprocess_sam_parallel(sam_path, tmp.file("m4.bamxm"),
+                                              tmp.file("m4.baix"), 4);
     core::PreprocessOptions popt;
     popt.threads = 4;
-    auto par = core::preprocess_bam_parallel(bam_path, tmp.file("par.bamxm"),
-                                             tmp.file("par.baix"), popt);
-    std::printf("functional check: BAM two-pass and one-pass record totals "
-                "%s (%llu records), BAIX files %s\n",
-                seq.records == par.records ? "agree" : "DISAGREE",
-                static_cast<unsigned long long>(par.records),
-                read_file(tmp.file("seq.baix")) ==
-                        read_file(tmp.file("par.baix"))
+    auto bam = core::preprocess_bam_parallel(bam_path, tmp.file("b.bamxm"),
+                                             tmp.file("b.baix"), popt);
+    const std::string baix = read_file(tmp.file("m1.baix"));
+    std::printf("functional check: %llu records; SAM M=1, SAM M=4 and BAM "
+                "record totals %s, BAIX files %s\n",
+                static_cast<unsigned long long>(one.records),
+                one.records == four.records && one.records == bam.records
+                    ? "agree"
+                    : "DISAGREE",
+                baix == read_file(tmp.file("m4.baix")) &&
+                        baix == read_file(tmp.file("b.baix"))
                     ? "identical"
                     : "DIFFER");
   }

@@ -33,9 +33,9 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Figure 9: preprocessing-optimized vs original SAM converter");
 
-  // Functional check: the conversion phase consumes a BAMXM shard
-  // manifest (single-pass parallel preprocessing) and a monolithic BAMX
-  // (two-pass sequential preprocessing) interchangeably.
+  // Functional check: the conversion phase reads a BAMXM shard manifest
+  // the same way whatever preprocessing width wrote it (width 1 -> one
+  // shard, width 4 -> four shards).
   {
     TempDir tmp("fig9");
     auto genome = simdata::ReferenceGenome::simulate(
@@ -51,31 +51,32 @@ int main(int argc, char** argv) {
       }
       w.close();
     }
-    auto seq = core::preprocess_bam(bam_path, tmp.file("s.bamx"),
-                                    tmp.file("s.baix"));
     core::PreprocessOptions popt;
+    popt.threads = 1;
+    auto seq = core::preprocess_bam_parallel(bam_path, tmp.file("s.bamxm"),
+                                             tmp.file("s.baix"), popt);
     popt.threads = 4;
     core::preprocess_bam_parallel(bam_path, tmp.file("p.bamxm"),
                                   tmp.file("p.baix"), popt);
     core::ConvertOptions copt;
     copt.format = core::TargetFormat::kBed;
     copt.ranks = 4;
-    auto from_bamx = core::convert_bamx(tmp.file("s.bamx"), tmp.file("s.baix"),
-                                        tmp.subdir("out-bamx"), copt);
-    auto from_manifest = core::convert_bamx(tmp.file("p.bamxm"),
-                                            tmp.file("p.baix"),
-                                            tmp.subdir("out-manifest"), copt);
+    auto from_one = core::convert_bamx(tmp.file("s.bamxm"), tmp.file("s.baix"),
+                                       tmp.subdir("out-one"), copt);
+    auto from_four = core::convert_bamx(tmp.file("p.bamxm"),
+                                        tmp.file("p.baix"),
+                                        tmp.subdir("out-four"), copt);
     std::string a, b;
-    for (const auto& path : from_bamx.outputs) {
+    for (const auto& path : from_one.outputs) {
       a += read_file(path);
     }
-    for (const auto& path : from_manifest.outputs) {
+    for (const auto& path : from_four.outputs) {
       b += read_file(path);
     }
-    std::printf("functional check: conversion from .bamx and .bamxm over "
-                "%llu records %s\n",
+    std::printf("functional check: conversion from width-1 and width-4 "
+                "preprocessing over %llu records %s\n",
                 static_cast<unsigned long long>(seq.records),
-                a == b && from_bamx.records_in == from_manifest.records_in
+                a == b && from_one.records_in == from_four.records_in
                     ? "agree"
                     : "DISAGREE");
   }

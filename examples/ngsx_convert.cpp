@@ -13,8 +13,9 @@
 // For SAM input, --preprocess selects the preprocessing-optimized
 // converter (III-C, M preprocessing ranks + N conversion ranks); otherwise
 // the direct Algorithm-1 converter runs (III-A). BAM input is always
-// preprocessed into BAMX/BAIX next to the output (III-B); --region
-// performs partial conversion via the BAIX.
+// preprocessed (III-B). Either preprocessor writes input.bamxm (manifest +
+// input-shard-<k>.bamx) and input.baix next to the output, which ngsx_serve
+// can serve; --region performs partial conversion via the BAIX.
 //
 // --metrics writes the merged metrics snapshot (schema ngsx.metrics.v1)
 // and --trace writes Chrome-trace JSON for chrome://tracing / Perfetto;
@@ -57,10 +58,10 @@ int usage(const char* prog) {
                "--ranks 0 / --threads 0 / --decode-threads 0 auto-detect\n"
                "the hardware width; --decode-threads sets the BGZF inflate\n"
                "workers used while reading BAM input\n"
-               "--preprocess-threads sets the BAM preprocessing width:\n"
-               "1 runs the sequential two-pass preprocessor, anything else\n"
-               "(0 = auto) runs the single-pass parallel preprocessor that\n"
-               "emits a BAMXM shard manifest\n"
+               "--preprocess-threads sets the BAM preprocessing width and\n"
+               "shard count (0 = auto); --preprocess --m M preprocesses SAM\n"
+               "input over M ranks. Both write DIR/input.bamxm (a BAMXM\n"
+               "shard manifest) and DIR/input.baix, which ngsx_serve serves\n"
                "--region-mode start (default) keeps the BAIX start-keyed\n"
                "query; overlap builds a BAIX v2 and selects every alignment\n"
                "overlapping the region (see docs/FILEFORMATS.md)\n"
@@ -282,43 +283,41 @@ int main(int argc, char** argv) {
     }
 
     core::ConvertStats stats;
-    if (strutil::ends_with(in, ".bam")) {
-      // BAM path: preprocess (III-B), then full or partial conversion.
-      // --preprocess-threads 1 keeps the sequential two-pass preprocessor
-      // (monolithic .bamx); any other value runs the single-pass parallel
-      // preprocessor, which emits a BAMXM shard manifest the conversion
-      // phase consumes transparently.
-      const int64_t preprocess_request = args.get_int("preprocess-threads", 0);
-      if (preprocess_request < 0) {
-        throw UsageError("--preprocess-threads must be >= 0 (0 = auto)");
-      }
+    const bool bam_input = strutil::ends_with(in, ".bam");
+    if (bam_input || args.get_bool("preprocess", false)) {
+      // Preprocess into BAMXM + BAIX next to the output — BAM input
+      // always (III-B), SAM input with --preprocess (III-C) — then full or
+      // partial conversion of the one preprocessed layout.
+      const std::string bamx = out + "/input.bamxm";
       const std::string baix = out + "/input.baix";
       std::filesystem::create_directories(out);
-      std::string bamx;
       core::PreprocessStats pre;
-      const auto run_preprocess = [&] {
-        if (preprocess_request == 1) {
-          pre = core::preprocess_bam(in, bamx, baix, options.decode_threads);
+      if (bam_input) {
+        // --preprocess-threads is the single-pass preprocessor's width
+        // (0 = auto); it also sets the shard count.
+        core::PreprocessOptions popt;
+        popt.threads = resolve_width(
+            "preprocess-threads", args.get_int("preprocess-threads", 0), 0);
+        popt.decode_threads = options.decode_threads;
+        if (mpi::launched()) {
+          // Preprocessing BAM is a thread-pool stage, not an mpi-parallel
+          // one: rank 0 writes the BAMXM/BAIX while the other ranks wait
+          // at the run() barrier, then everyone reads the published files.
+          mpi::run(options.ranks, [&](mpi::Comm& comm) {
+            if (comm.rank() == 0) {
+              pre = core::preprocess_bam_parallel(in, bamx, baix, popt);
+            }
+          });
         } else {
-          core::PreprocessOptions popt;
-          popt.threads = static_cast<int>(preprocess_request);
-          popt.decode_threads = options.decode_threads;
           pre = core::preprocess_bam_parallel(in, bamx, baix, popt);
         }
-      };
-      bamx = preprocess_request == 1 ? out + "/input.bamx"
-                                     : out + "/input.bamxm";
-      if (mpi::launched()) {
-        // Preprocessing is a thread-pool stage, not an mpi-parallel one:
-        // rank 0 writes the BAMX/BAIX while the other ranks wait at the
-        // run() barrier, then everyone reads the published files.
-        mpi::run(options.ranks, [&](mpi::Comm& comm) {
-          if (comm.rank() == 0) {
-            run_preprocess();
-          }
-        });
       } else {
-        run_preprocess();
+        // Algorithm-1 preprocessing over M ranks: one shard per rank.
+        const int m = mpi::launched()
+                          ? options.ranks
+                          : resolve_width("m", args.get_int("m", options.ranks),
+                                          auto_width);
+        pre = core::preprocess_sam_parallel(in, bamx, baix, m);
       }
       if (primary) {
         std::fprintf(stderr, "preprocessed %llu records in %.2f s\n",
@@ -349,30 +348,11 @@ int main(int argc, char** argv) {
       } else {
         stats = core::convert_bamx(bamx, baix, out, options, region);
       }
-    } else if (args.get_bool("preprocess", false)) {
-      // Preprocessing-optimized SAM converter (III-C): M x N part files.
-      if (!region_text.empty()) {
-        std::fprintf(stderr, "--region with SAM input requires --preprocess"
-                             " shards to be converted individually; use a"
-                             " BAM input for partial conversion\n");
-        return 2;
-      }
-      const int m = mpi::launched()
-                        ? options.ranks
-                        : resolve_width("m", args.get_int("m", options.ranks),
-                                        auto_width);
-      auto pre = core::preprocess_sam_parallel(in, out + "/shards", m);
-      if (primary) {
-        std::fprintf(stderr,
-                     "preprocessed %llu records (%d shards) in %.2f s\n",
-                     static_cast<unsigned long long>(pre.records), m,
-                     pre.seconds);
-      }
-      stats = core::convert_bamx_shards(pre.bamx_paths, out, options);
     } else {
       // Direct SAM converter (III-A).
       if (!region_text.empty()) {
-        std::fprintf(stderr, "--region requires an indexed (BAM) input\n");
+        std::fprintf(stderr, "--region with SAM input requires --preprocess"
+                             "\n");
         return 2;
       }
       stats = core::convert_sam(in, out, options);

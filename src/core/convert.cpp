@@ -328,6 +328,80 @@ std::vector<Chunk> record_chunks(
   return chunks;
 }
 
+// ------------------------------------------ the preprocessed on-disk layout
+
+/// Where a preprocessed dataset lives (docs/FILEFORMATS.md "BAMXM"): the
+/// manifest, and next to it the shards "<stem>-shard-<k>.bamx", where
+/// <stem> is the manifest's file name without ".bamxm". Both preprocessors
+/// name their shards through this, so there is one on-disk layout.
+struct DatasetPaths {
+  std::string dir;
+  std::string stem;
+
+  explicit DatasetPaths(const std::string& manifest_path) {
+    const fs::path path(strutil::ends_with(manifest_path, ".bamxm")
+                            ? manifest_path.substr(0, manifest_path.size() - 6)
+                            : manifest_path);
+    dir = path.has_parent_path() ? path.parent_path().string() : ".";
+    stem = path.filename().string();
+  }
+
+  std::string shard_name(int k) const {
+    return stem + "-shard-" + std::to_string(k) + ".bamx";
+  }
+  std::string shard_path(int k) const { return dir + "/" + shard_name(k); }
+};
+
+/// Publishes a dataset whose shards are all committed: merges the sorted
+/// BAIX runs on `pool`, saves the BAIX, and saves the manifest last, so a
+/// reader can never observe a manifest whose shards or index are missing.
+/// `runs` must be in record order (each run's indices below the next
+/// run's); std::merge takes the left run on ties, so the merged index
+/// equals BaixIndex::from_entries' stable sort over all entries.
+void publish_dataset(std::vector<std::vector<bamx::BaixEntry>> runs,
+                     const bamx::BamxManifest& manifest,
+                     const std::string& manifest_path,
+                     const std::string& baix_path, exec::Pool& pool) {
+  {
+    obs::Span span("convert", "preprocess.index");
+    while (runs.size() > 1) {
+      std::vector<std::vector<bamx::BaixEntry>> next((runs.size() + 1) / 2);
+      exec::TaskGroup group(pool);
+      for (size_t i = 0; i + 1 < runs.size(); i += 2) {
+        group.spawn([&, i] {
+          std::vector<bamx::BaixEntry> merged;
+          merged.reserve(runs[i].size() + runs[i + 1].size());
+          std::merge(runs[i].begin(), runs[i].end(), runs[i + 1].begin(),
+                     runs[i + 1].end(), std::back_inserter(merged),
+                     bamx::baix_entry_less);
+          next[i / 2] = std::move(merged);
+        });
+      }
+      if (runs.size() % 2 != 0) {
+        next.back() = std::move(runs.back());
+      }
+      group.wait();
+      runs = std::move(next);
+    }
+    std::vector<bamx::BaixEntry> entries =
+        runs.empty() ? std::vector<bamx::BaixEntry>{} : std::move(runs[0]);
+    bamx::BaixIndex::from_sorted_entries(std::move(entries)).save(baix_path);
+  }
+  manifest.save(manifest_path);
+}
+
+/// Bytes on disk of a published dataset: manifest, shards and BAIX.
+uint64_t dataset_bytes(const DatasetPaths& paths,
+                       const bamx::BamxManifest& manifest,
+                       const std::string& manifest_path,
+                       const std::string& baix_path) {
+  uint64_t bytes = ngsx::file_size(manifest_path) + ngsx::file_size(baix_path);
+  for (const bamx::ManifestShard& s : manifest.shards) {
+    bytes += ngsx::file_size(paths.dir + "/" + s.path);
+  }
+  return bytes;
+}
+
 }  // namespace
 
 // ------------------------------------------------------- 1. SAM converter
@@ -435,57 +509,6 @@ ConvertStats convert_sam(const std::string& sam_path,
 
 // ------------------------------------------------------- 2. BAM converter
 
-PreprocessStats preprocess_bam(const std::string& bam_path,
-                               const std::string& bamx_path,
-                               const std::string& baix_path,
-                               int decode_threads) {
-  obs::StageScope stage("convert.stage.preprocess", "convert", "preprocess");
-  WallTimer timer;
-  PreprocessStats stats;
-  stats.bytes_in = ngsx::file_size(bam_path);
-
-  // Pass 1 (measure): BAM offers no random access into records, so the
-  // stride-defining maxima require a full sequential decode pass.
-  bamx::BamxLayout layout;
-  {
-    obs::Span span("convert", "preprocess.measure");
-    bam::BamFileReader reader(bam_path, decode_threads);
-    AlignmentRecord rec;
-    while (reader.next(rec)) {
-      layout.accommodate(rec);
-    }
-  }
-
-  // Pass 2 (encode): write fixed-stride records and collect BAIX entries.
-  std::vector<bamx::BaixEntry> entries;
-  {
-    obs::Span span("convert", "preprocess.encode");
-    bam::BamFileReader reader(bam_path, decode_threads);
-    bamx::BamxWriter writer(bamx_path, reader.header(), layout);
-    AlignmentRecord rec;
-    uint64_t index = 0;
-    while (reader.next(rec)) {
-      writer.write(rec);
-      entries.push_back(bamx::BaixEntry{rec.ref_id, rec.pos, index});
-      ++index;
-    }
-    writer.close();
-    stats.records = index;
-  }
-  {
-    obs::Span span("convert", "preprocess.index");
-    bamx::BaixIndex index = bamx::BaixIndex::from_entries(std::move(entries));
-    index.save(baix_path);
-  }
-
-  stats.bytes_out = ngsx::file_size(bamx_path) + ngsx::file_size(baix_path);
-  stats.bamx_paths = {bamx_path};
-  stats.baix_paths = {baix_path};
-  stats.seconds = timer.seconds();
-  record_preprocess_stats(stats);
-  return stats;
-}
-
 PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
                                         const std::string& manifest_path,
                                         const std::string& baix_path,
@@ -500,10 +523,7 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
   const int n_shards = options.shards > 0 ? options.shards : threads;
   const uint64_t chunk_records =
       std::max<uint64_t>(options.chunk_records, 1);
-  const std::string stem =
-      strutil::ends_with(manifest_path, ".bamxm")
-          ? manifest_path.substr(0, manifest_path.size() - 6)
-          : manifest_path;
+  const DatasetPaths paths(manifest_path);
 
   exec::Pool pool(threads);
   bam::BamFileReader reader(bam_path, options.decode_threads);
@@ -626,11 +646,6 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
     seg_bases[s + 1] = seg_bases[s] + segments[s].n_records;
   }
   auto shard_ranges = split_records(total_records, n_shards);
-  const fs::path stem_path(stem);
-  const std::string shard_dir = stem_path.has_parent_path()
-                                    ? stem_path.parent_path().string()
-                                    : std::string(".");
-  const std::string shard_stem = stem_path.filename().string();
   bamx::BamxManifest manifest;
   manifest.layout = global;
   manifest.n_records = total_records;
@@ -642,9 +657,7 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
     for (int s = 0; s < n_shards; ++s) {
       group.spawn([&, s] {
         auto [lo, hi] = shard_ranges[static_cast<size_t>(s)];
-        const std::string shard_name =
-            shard_stem + "-shard-" + std::to_string(s) + ".bamx";
-        bamx::BamxWriter writer(shard_dir + "/" + shard_name, header, global);
+        bamx::BamxWriter writer(paths.shard_path(s), header, global);
         size_t seg = static_cast<size_t>(
             std::upper_bound(seg_bases.begin(), seg_bases.end() - 1, lo) -
             seg_bases.begin() - 1);
@@ -674,52 +687,16 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
         }
         writer.close();
         manifest.shards[static_cast<size_t>(s)] =
-            bamx::ManifestShard{shard_name, hi - lo, lo};
+            bamx::ManifestShard{paths.shard_name(s), hi - lo, lo};
       });
     }
     group.wait();
   }
 
-  // Stage 2b — parallel BAIX merge: pairwise-merge the per-chunk sorted
-  // runs on the pool. std::merge takes the left run on ties and runs are
-  // in ticket (= record) order, so the result equals from_entries'
-  // stable_sort over all entries.
-  {
-    obs::Span span("convert", "preprocess.index");
-    while (runs.size() > 1) {
-      std::vector<std::vector<bamx::BaixEntry>> next((runs.size() + 1) / 2);
-      exec::TaskGroup group(pool);
-      for (size_t i = 0; i + 1 < runs.size(); i += 2) {
-        group.spawn([&, i] {
-          std::vector<bamx::BaixEntry> merged;
-          merged.reserve(runs[i].size() + runs[i + 1].size());
-          std::merge(runs[i].begin(), runs[i].end(), runs[i + 1].begin(),
-                     runs[i + 1].end(), std::back_inserter(merged),
-                     bamx::baix_entry_less);
-          next[i / 2] = std::move(merged);
-        });
-      }
-      if (runs.size() % 2 != 0) {
-        next.back() = std::move(runs.back());
-      }
-      group.wait();
-      runs = std::move(next);
-    }
-    std::vector<bamx::BaixEntry> entries =
-        runs.empty() ? std::vector<bamx::BaixEntry>{} : std::move(runs[0]);
-    bamx::BaixIndex::from_sorted_entries(std::move(entries)).save(baix_path);
-  }
-
-  // The manifest is published last: readers can never observe a manifest
-  // whose shards are not all committed under their final names.
-  manifest.save(manifest_path);
-
-  stats.bytes_out = ngsx::file_size(manifest_path) + ngsx::file_size(baix_path);
-  for (const bamx::ManifestShard& s : manifest.shards) {
-    stats.bytes_out += ngsx::file_size(shard_dir + "/" + s.path);
-  }
-  stats.bamx_paths = {manifest_path};
-  stats.baix_paths = {baix_path};
+  // Stage 2b — merge the per-chunk sorted BAIX runs (ticket order is
+  // record order) on the pool, then publish the index and the manifest.
+  publish_dataset(std::move(runs), manifest, manifest_path, baix_path, pool);
+  stats.bytes_out = dataset_bytes(paths, manifest, manifest_path, baix_path);
   stats.seconds = timer.seconds();
   record_preprocess_stats(stats);
   return stats;
@@ -976,36 +953,28 @@ ConvertStats convert_bam_sequential(const std::string& bam_path,
 // ------------------------------------- 3. preprocessing-optimized SAM
 
 PreprocessStats preprocess_sam_parallel(const std::string& sam_path,
-                                        const std::string& out_dir,
+                                        const std::string& manifest_path,
+                                        const std::string& baix_path,
                                         int m_ranks) {
   NGSX_CHECK_MSG(m_ranks >= 1, "ranks must be >= 1");
   obs::StageScope stage("convert.stage.preprocess", "convert", "preprocess");
-  fs::create_directories(out_dir);
+  const DatasetPaths paths(manifest_path);
   auto [header, body_offset] = read_sam_header(sam_path);
-  const uint64_t file_size = ngsx::file_size(sam_path);
-  const ByteRange body{body_offset, file_size};
+  const ByteRange body{body_offset, ngsx::file_size(sam_path)};
 
-  std::vector<LocalStats> locals(static_cast<size_t>(m_ranks));
-  std::vector<std::string> bamx_paths(static_cast<size_t>(m_ranks));
-  std::vector<std::string> baix_paths(static_cast<size_t>(m_ranks));
-  for (int r = 0; r < m_ranks; ++r) {
-    bamx_paths[static_cast<size_t>(r)] =
-        out_dir + "/shard-" + std::to_string(r) + ".bamx";
-    baix_paths[static_cast<size_t>(r)] =
-        out_dir + "/shard-" + std::to_string(r) + ".baix";
-  }
+  /// What pass 1 of one rank tells the others.
+  struct Measure {
+    bamx::BamxLayout layout;
+    uint64_t n_records = 0;
+  };
 
   WallTimer timer;
+  bamx::BamxManifest published;
   mpi::run(m_ranks, [&](mpi::Comm& comm) {
     const int rank = comm.rank();
     InputFile file(sam_path);
-    ByteRange range = partition_sam_distributed(file, body, comm);
-    LocalStats local;
-    local.bytes_in = range.size();
-
-    // Pass 1 (measure): parse the partition to size the shard's layout.
-    bamx::BamxLayout layout;
-    {
+    const ByteRange range = partition_sam_distributed(file, body, comm);
+    const auto for_each_record = [&](const auto& fn) {
       LineRangeReader lines(file, range, 4 << 20);
       AlignmentRecord rec;
       std::string_view line;
@@ -1014,70 +983,62 @@ PreprocessStats preprocess_sam_parallel(const std::string& sam_path,
           continue;
         }
         sam::parse_record(line, header, rec);
-        layout.accommodate(rec);
+        fn(rec);
       }
-    }
+    };
 
-    // Pass 2 (encode): write this rank's BAMX shard and its BAIX.
-    const std::string bamx_path = bamx_paths[static_cast<size_t>(rank)];
-    const std::string baix_path = baix_paths[static_cast<size_t>(rank)];
-    {
-      bamx::BamxWriter writer(bamx_path, header, layout);
-      std::vector<bamx::BaixEntry> entries;
-      LineRangeReader lines(file, range, 4 << 20);
-      AlignmentRecord rec;
-      std::string_view line;
-      uint64_t index = 0;
-      while (lines.next(line)) {
-        if (line.empty() || line[0] == '@') {
-          continue;
-        }
-        sam::parse_record(line, header, rec);
-        writer.write(rec);
-        entries.push_back(bamx::BaixEntry{rec.ref_id, rec.pos, index});
-        ++index;
-      }
-      writer.close();
-      local.records_in = index;
-      bamx::BaixIndex::from_entries(std::move(entries)).save(baix_path);
+    // Pass 1 (measure): this partition's layout and record count. Every
+    // rank then derives the same manifest: the merged global layout and
+    // each shard's record base (a prefix sum over ranks).
+    Measure local;
+    for_each_record([&](const AlignmentRecord& rec) {
+      local.layout.accommodate(rec);
+      ++local.n_records;
+    });
+    bamx::BamxManifest manifest;
+    for (const Measure& m : comm.allgather_values(local)) {
+      manifest.layout.merge(m.layout);
+      manifest.shards.push_back(bamx::ManifestShard{
+          paths.shard_name(static_cast<int>(manifest.shards.size())),
+          m.n_records, manifest.n_records});
+      manifest.n_records += m.n_records;
     }
-    local.bytes_out =
-        ngsx::file_size(bamx_path) + ngsx::file_size(baix_path);
-    publish_locals(comm, local, locals);
+    const uint64_t base =
+        manifest.shards[static_cast<size_t>(rank)].record_base;
+
+    // Pass 2 (encode): shard `rank` under the global layout, plus this
+    // rank's sorted BAIX run over global record indices.
+    std::vector<bamx::BaixEntry> run;
+    run.reserve(local.n_records);
+    bamx::BamxWriter writer(paths.shard_path(rank), header, manifest.layout);
+    for_each_record([&](const AlignmentRecord& rec) {
+      writer.write(rec);
+      run.push_back(bamx::BaixEntry{rec.ref_id, rec.pos, base + run.size()});
+    });
+    writer.close();
+    std::stable_sort(run.begin(), run.end(), bamx::baix_entry_less);
+
+    // The runs travel to rank 0 as messages, so every transport works;
+    // rank 0 publishes once all shards are committed (a failed rank aborts
+    // the gather, and nothing is published).
+    auto runs = comm.gather_vectors(0, run);
+    if (rank == 0) {
+      exec::Pool pool(1);
+      publish_dataset(std::move(runs), manifest, manifest_path, baix_path,
+                      pool);
+    }
+    if (rank == 0 || !mpi::ranks_share_address_space()) {
+      published = std::move(manifest);
+    }
   });
 
   PreprocessStats stats;
-  for (const LocalStats& l : locals) {
-    stats.records += l.records_in;
-    stats.bytes_in += l.bytes_in;
-    stats.bytes_out += l.bytes_out;
-  }
-  stats.bamx_paths = std::move(bamx_paths);
-  stats.baix_paths = std::move(baix_paths);
+  stats.records = published.n_records;
+  stats.bytes_in = body.size();
+  stats.bytes_out = dataset_bytes(paths, published, manifest_path, baix_path);
   stats.seconds = timer.seconds();
   record_preprocess_stats(stats);
   return stats;
-}
-
-ConvertStats convert_bamx_shards(const std::vector<std::string>& bamx_paths,
-                                 const std::string& out_dir,
-                                 const ConvertOptions& options) {
-  fs::create_directories(out_dir);
-  ConvertStats total;
-  WallTimer timer;
-  for (size_t m = 0; m < bamx_paths.size(); ++m) {
-    const std::string shard_dir = out_dir + "/shard-" + std::to_string(m);
-    ConvertStats s =
-        convert_bamx(bamx_paths[m], /*baix_path=*/"", shard_dir, options);
-    total.records_in += s.records_in;
-    total.records_out += s.records_out;
-    total.bytes_in += s.bytes_in;
-    total.bytes_out += s.bytes_out;
-    total.outputs.insert(total.outputs.end(), s.outputs.begin(),
-                         s.outputs.end());
-  }
-  total.seconds = timer.seconds();
-  return total;
 }
 
 }  // namespace ngsx::core

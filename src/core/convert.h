@@ -5,18 +5,22 @@
 //   1. SAM format converter           — Algorithm-1 byte partitioning, then
 //                                       independent parse + convert + write
 //                                       per rank (Figure 2).
-//   2. BAM format converter           — sequential preprocessing into
-//                                       BAMX + BAIX, then parallel
-//                                       conversion by record-range
-//                                       partitioning (Figure 3); supports
-//                                       *partial conversion* of a genomic
-//                                       region via BAIX binary search.
+//   2. BAM format converter           — preprocessing into BAMX + BAIX,
+//                                       then parallel conversion by
+//                                       record-range partitioning
+//                                       (Figure 3); supports *partial
+//                                       conversion* of a genomic region via
+//                                       BAIX binary search.
 //   3. Preprocessing-optimized SAM
 //      format converter               — Algorithm 1 parallelizes the
-//                                       preprocessing itself, producing M
-//                                       BAMX/BAIX shards that the parallel
-//                                       conversion phase then consumes
-//                                       (Figure 5; M x N output files).
+//                                       preprocessing itself across M ranks
+//                                       (Figure 5); the conversion phase is
+//                                       converter 2's.
+//
+// Both preprocessors publish the same on-disk layout: a BAMXM manifest,
+// M BAMX shards "<stem>-shard-<k>.bamx" carrying one global layout, and one
+// merged BAIX (docs/FILEFORMATS.md). convert_bamx, ConversionSession and
+// ngsx_serve read it, whichever preprocessor wrote it.
 //
 // Ranks execute as minimpi ranks (threads standing in for MPI processes);
 // each rank opens the input independently and writes its own part file,
@@ -95,8 +99,6 @@ struct PreprocessStats {
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
   double seconds = 0.0;
-  std::vector<std::string> bamx_paths;
-  std::vector<std::string> baix_paths;
 };
 
 // ---------------------------------------------------------------------------
@@ -114,17 +116,6 @@ ConvertStats convert_sam(const std::string& sam_path,
 // 2. BAM format converter (§III-B).
 // ---------------------------------------------------------------------------
 
-/// Sequential preprocessing: BAM -> BAMX + BAIX. Two passes over the BAM
-/// (measure, then encode) because the BAMX stride must be known up front;
-/// record *framing* is inherently sequential (the paper's §III-B
-/// observation), but block inflation is not: `decode_threads` BGZF
-/// workers (0 = auto, 1 = sequential) overlap decompression with the
-/// record scan in both passes.
-PreprocessStats preprocess_bam(const std::string& bam_path,
-                               const std::string& bamx_path,
-                               const std::string& baix_path,
-                               int decode_threads = 0);
-
 /// Options for the single-pass parallel BAM preprocessor.
 struct PreprocessOptions {
   int threads = 0;         // parse+encode pipeline workers; 0 => hardware
@@ -140,9 +131,10 @@ struct PreprocessOptions {
 /// committer stages the chunk blobs and merges the global layout, and a
 /// final parallel pass re-strides the staged records into M shards carrying
 /// the global layout while the per-chunk sorted BAIX runs are merged on the
-/// pool. The published BAMX record bytes and BAIX are bit-identical to the
-/// sequential two-pass preprocess_bam output (the shards concatenate to its
-/// data section), so conversion output is byte-identical too.
+/// pool. The published BAMX record bytes and BAIX are bit-identical to a
+/// sequential encode of every record under the global layout (the shards
+/// concatenate to its data section), whatever the width or shard count.
+/// `threads` = 1 runs the same single pass at width 1.
 ///
 /// Writes `manifest_path` (must end in ".bamxm"), shards named
 /// "<manifest stem>-shard-<k>.bamx" next to it, and `baix_path`. Shards
@@ -193,17 +185,15 @@ ConvertStats convert_bam_sequential(const std::string& bam_path,
 // ---------------------------------------------------------------------------
 
 /// Parallel preprocessing: SAM is partitioned with Algorithm 1 across
-/// `m_ranks`, each rank converting its partition into its own BAMX + BAIX
-/// shard under `out_dir` ("shard-<rank>.bamx"/".baix").
+/// `m_ranks`. Each rank measures its partition, the ranks agree on the
+/// global layout and their record bases, and rank k encodes shard k under
+/// that layout. Writes the same layout as preprocess_bam_parallel — the
+/// manifest, "<manifest stem>-shard-<k>.bamx" next to it (one per rank) and
+/// the merged `baix_path` — and for the same records the BAIX bytes and the
+/// concatenated shard data are identical. The manifest is written last.
 PreprocessStats preprocess_sam_parallel(const std::string& sam_path,
-                                        const std::string& out_dir,
+                                        const std::string& manifest_path,
+                                        const std::string& baix_path,
                                         int m_ranks);
-
-/// Conversion phase over the M shards: each shard is converted with
-/// `options.ranks` (N) ranks into its own subdirectory, producing the
-/// paper's M x N target files.
-ConvertStats convert_bamx_shards(const std::vector<std::string>& bamx_paths,
-                                 const std::string& out_dir,
-                                 const ConvertOptions& options);
 
 }  // namespace ngsx::core

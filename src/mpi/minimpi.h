@@ -256,22 +256,18 @@ class Comm {
     return out;
   }
 
+  /// Gathers each rank's vector<T> at `root`, indexed by rank. Non-root
+  /// ranks receive an empty vector.
+  template <typename T>
+  std::vector<std::vector<T>> gather_vectors(int root,
+                                             const std::vector<T>& local) {
+    return unpack_vectors<T>(gather(root, vector_bytes(local)));
+  }
+
   /// Gathers each rank's vector<T> at every rank, indexed by rank.
   template <typename T>
   std::vector<std::vector<T>> allgather_vectors(const std::vector<T>& local) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    auto parts = allgather(
-        std::string_view(reinterpret_cast<const char*>(local.data()),
-                         local.size() * sizeof(T)));
-    std::vector<std::vector<T>> out;
-    out.reserve(parts.size());
-    for (const auto& p : parts) {
-      NGSX_CHECK(p.size() % sizeof(T) == 0);
-      std::vector<T> v(p.size() / sizeof(T));
-      __builtin_memcpy(v.data(), p.data(), p.size());
-      out.push_back(std::move(v));
-    }
-    return out;
+    return unpack_vectors<T>(allgather(vector_bytes(local)));
   }
 
   /// Sum-reduction to `root`; other ranks get T{}.
@@ -321,6 +317,29 @@ class Comm {
  private:
   friend Comm detail::make_comm(detail::Endpoint*);
   explicit Comm(detail::Endpoint* ep);
+
+  template <typename T>
+  static std::string_view vector_bytes(const std::vector<T>& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    return std::string_view(reinterpret_cast<const char*>(v.data()),
+                            v.size() * sizeof(T));
+  }
+
+  template <typename T>
+  static std::vector<std::vector<T>> unpack_vectors(
+      const std::vector<std::string>& parts) {
+    std::vector<std::vector<T>> out;
+    out.reserve(parts.size());
+    for (const auto& p : parts) {
+      NGSX_CHECK(p.size() % sizeof(T) == 0);
+      std::vector<T> v(p.size() / sizeof(T));
+      if (!p.empty()) {
+        __builtin_memcpy(v.data(), p.data(), p.size());
+      }
+      out.push_back(std::move(v));
+    }
+    return out;
+  }
 
   // Internal send/recv: shared by the public p2p calls and the
   // collectives, so transport metrics count every message exactly once.

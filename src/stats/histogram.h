@@ -68,7 +68,8 @@ CoverageHistogram histogram_from_bam(const std::string& bam_path,
 CoverageHistogram histogram_from_sam(const std::string& sam_path,
                                      int32_t bin_size);
 
-/// Parallel histogram construction over a preprocessed BAMX file: each
+/// Parallel histogram construction over preprocessed records (a .bamx
+/// file or a .bamxm manifest, sniffed by magic): each
 /// minimpi rank accumulates a private histogram over its record-index
 /// share, then the per-chromosome bin vectors are sum-reduced at rank 0 —
 /// the "convert aligned sequence data into histogram data in parallel"

@@ -128,9 +128,9 @@ TEST(SamSchedule, TinyChunksStillIdentical) {
 
 TEST(BamxSchedule, FullConversionByteIdentical) {
   Dataset d(300);
-  std::string bamx = d.tmp.file("p.bamx");
+  std::string bamx = d.tmp.file("p.bamxm");
   std::string baix = d.tmp.file("p.baix");
-  preprocess_bam(d.bam_path, bamx, baix);
+  preprocess_bam_parallel(d.bam_path, bamx, baix);
   for (TargetFormat format : {TargetFormat::kBedgraph, TargetFormat::kBam}) {
     ConvertOptions options;
     options.format = format;
@@ -147,9 +147,9 @@ TEST(BamxSchedule, FullConversionByteIdentical) {
 
 TEST(BamxSchedule, RegionConversionByteIdentical) {
   Dataset d(400);
-  std::string bamx = d.tmp.file("p.bamx");
+  std::string bamx = d.tmp.file("p.bamxm");
   std::string baix = d.tmp.file("p.baix");
-  preprocess_bam(d.bam_path, bamx, baix);
+  preprocess_bam_parallel(d.bam_path, bamx, baix);
   Region region = parse_region("chr1:1-50000", d.genome.header());
   ConvertOptions options;
   options.format = TargetFormat::kBed;
@@ -164,9 +164,9 @@ TEST(BamxSchedule, RegionConversionByteIdentical) {
 
 TEST(BamxSchedule, FilteredConversionByteIdentical) {
   Dataset d(400);
-  std::string bamx = d.tmp.file("p.bamx");
+  std::string bamx = d.tmp.file("p.bamxm");
   std::string baix2 = d.tmp.file("p.baix2");
-  preprocess_bam(d.bam_path, bamx, d.tmp.file("p.baix"));
+  preprocess_bam_parallel(d.bam_path, bamx, d.tmp.file("p.baix"));
   build_baix2(bamx, baix2);
   Region region = parse_region("chr1", d.genome.header());
   baix2::Filter filter;

@@ -190,11 +190,11 @@ TEST(SamConverter, RecordCountsTracked) {
 
 TEST(BamConverter, PreprocessProducesFaithfulBamx) {
   Dataset d(200);
-  std::string bamx = d.tmp.file("p.bamx");
+  std::string bamx = d.tmp.file("p.bamxm");
   std::string baix = d.tmp.file("p.baix");
-  auto stats = preprocess_bam(d.bam_path, bamx, baix);
+  auto stats = preprocess_bam_parallel(d.bam_path, bamx, baix);
   EXPECT_EQ(stats.records, d.records.size());
-  bamx::BamxReader reader(bamx);
+  bamx::ShardedBamxReader reader(bamx);
   ASSERT_EQ(reader.num_records(), d.records.size());
   AlignmentRecord rec;
   for (size_t i = 0; i < d.records.size(); ++i) {
@@ -209,9 +209,9 @@ class BamConvertRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(BamConvertRanks, FullConversionMatchesSequential) {
   Dataset d;
-  std::string bamx = d.tmp.file("p.bamx");
+  std::string bamx = d.tmp.file("p.bamxm");
   std::string baix = d.tmp.file("p.baix");
-  preprocess_bam(d.bam_path, bamx, baix);
+  preprocess_bam_parallel(d.bam_path, bamx, baix);
   ConvertOptions options;
   options.format = TargetFormat::kBedgraph;
   options.ranks = GetParam();
@@ -225,9 +225,9 @@ INSTANTIATE_TEST_SUITE_P(RankSweep, BamConvertRanks,
 
 TEST(BamConverter, PartialConversionSelectsRegion) {
   Dataset d(400);
-  std::string bamx = d.tmp.file("p.bamx");
+  std::string bamx = d.tmp.file("p.bamxm");
   std::string baix = d.tmp.file("p.baix");
-  preprocess_bam(d.bam_path, bamx, baix);
+  preprocess_bam_parallel(d.bam_path, bamx, baix);
 
   Region region = parse_region("chr1:1-50000", d.genome.header());
   ConvertOptions options;
@@ -260,9 +260,9 @@ TEST(BamConverter, PartialConversionSelectsRegion) {
 TEST(BamConverter, PartialSizesProportional) {
   // The Fig 8 property: converting x% of the data touches ~x% of records.
   Dataset d(500);
-  std::string bamx = d.tmp.file("p.bamx");
+  std::string bamx = d.tmp.file("p.bamxm");
   std::string baix = d.tmp.file("p.baix");
-  preprocess_bam(d.bam_path, bamx, baix);
+  preprocess_bam_parallel(d.bam_path, bamx, baix);
   int32_t chr1_len =
       static_cast<int32_t>(d.genome.header().ref_length(0));
   ConvertOptions options;
@@ -281,9 +281,9 @@ TEST(BamConverter, PartialSizesProportional) {
 
 TEST(BamConverter, PartialWithoutBaixRejected) {
   Dataset d(50);
-  std::string bamx = d.tmp.file("p.bamx");
+  std::string bamx = d.tmp.file("p.bamxm");
   std::string baix = d.tmp.file("p.baix");
-  preprocess_bam(d.bam_path, bamx, baix);
+  preprocess_bam_parallel(d.bam_path, bamx, baix);
   ConvertOptions options;
   options.ranks = 2;
   EXPECT_THROW(convert_bamx(bamx, "", d.tmp.subdir("x"), options,
@@ -307,20 +307,15 @@ class PreprocSamRanks : public ::testing::TestWithParam<int> {};
 TEST_P(PreprocSamRanks, ShardsContainAllRecords) {
   Dataset d;
   const int m = GetParam();
-  auto stats =
-      preprocess_sam_parallel(d.sam_path, d.tmp.subdir("shards"), m);
+  auto stats = preprocess_sam_parallel(d.sam_path, d.tmp.file("p.bamxm"),
+                                       d.tmp.file("p.baix"), m);
   EXPECT_EQ(stats.records, d.records.size());
-  ASSERT_EQ(stats.bamx_paths.size(), static_cast<size_t>(m));
-  // Concatenating shard records in order reproduces the input.
+  // One shard per rank; reading the record space in order reproduces the
+  // input.
+  bamx::ShardedBamxReader reader(d.tmp.file("p.bamxm"));
+  ASSERT_EQ(reader.num_shards(), static_cast<size_t>(m));
   std::vector<AlignmentRecord> all;
-  for (const auto& path : stats.bamx_paths) {
-    bamx::BamxReader reader(path);
-    AlignmentRecord rec;
-    for (uint64_t i = 0; i < reader.num_records(); ++i) {
-      reader.read(i, rec);
-      all.push_back(rec);
-    }
-  }
+  reader.read_range(0, reader.num_records(), all);
   EXPECT_EQ(all, d.records);
 }
 
@@ -330,26 +325,38 @@ INSTANTIATE_TEST_SUITE_P(RankSweep, PreprocSamRanks,
 TEST(PreprocSamConverter, MxNConversionMatchesSequential) {
   Dataset d(250);
   const int m = 3;
-  auto pre = preprocess_sam_parallel(d.sam_path, d.tmp.subdir("shards"), m);
+  preprocess_sam_parallel(d.sam_path, d.tmp.file("p.bamxm"),
+                          d.tmp.file("p.baix"), m);
   ConvertOptions options;
   options.format = TargetFormat::kFasta;
   options.ranks = 4;  // N
-  auto stats =
-      convert_bamx_shards(pre.bamx_paths, d.tmp.subdir("conv"), options);
-  // M x N part files.
-  EXPECT_EQ(stats.outputs.size(), static_cast<size_t>(m * 4));
+  auto stats = convert_bamx(d.tmp.file("p.bamxm"), d.tmp.file("p.baix"),
+                            d.tmp.subdir("conv"), options);
+  // M shards are one record space: N part files.
+  EXPECT_EQ(stats.outputs.size(), 4u);
   EXPECT_EQ(concat_outputs(stats), expected_text(d, TargetFormat::kFasta));
 }
 
-TEST(PreprocSamConverter, ShardBaixSupportsPartial) {
+TEST(PreprocSamConverter, MergedBaixSupportsPartial) {
   Dataset d(300);
-  auto pre = preprocess_sam_parallel(d.sam_path, d.tmp.subdir("shards"), 2);
-  // Each shard's BAIX must agree with its BAMX contents.
-  for (size_t s = 0; s < pre.bamx_paths.size(); ++s) {
-    bamx::BamxReader reader(pre.bamx_paths[s]);
-    bamx::BaixIndex index = bamx::BaixIndex::load(pre.baix_paths[s]);
-    EXPECT_EQ(index.size(), reader.num_records());
+  preprocess_sam_parallel(d.sam_path, d.tmp.file("p.bamxm"),
+                          d.tmp.file("p.baix"), 2);
+  // One BAIX indexes every shard's records.
+  EXPECT_EQ(bamx::BaixIndex::load(d.tmp.file("p.baix")).size(),
+            d.records.size());
+  Region region = parse_region("chr1:1-50000", d.genome.header());
+  ConvertOptions options;
+  options.format = TargetFormat::kBed;
+  options.ranks = 3;
+  auto stats = convert_bamx(d.tmp.file("p.bamxm"), d.tmp.file("p.baix"),
+                            d.tmp.subdir("part"), options, region);
+  uint64_t expected = 0;
+  for (const auto& rec : d.records) {
+    expected += rec.ref_id == region.ref_id && rec.pos >= region.begin &&
+                rec.pos < region.end;
   }
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(stats.records_in, expected);
 }
 
 // ------------------------------------------------------------ target layer

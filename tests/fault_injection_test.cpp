@@ -330,39 +330,53 @@ TEST_P(FaultMatrix, ConvertSamAbsorbsTransientFaultsWithinBudget) {
 // 2. BAM format converter (preprocess + parallel conversion).
 // ---------------------------------------------------------------------------
 
+/// Invariant 3 for the preprocessors' scratch file: the single-pass BAM
+/// preprocessor stages chunk blobs in "<manifest>.segs.tmp".
+void expect_no_staging_segments(const std::string& dir) {
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename().string().find(".segs.tmp"),
+              std::string::npos)
+        << "leaked staging segments: " << entry.path();
+  }
+}
+
 TEST_P(FaultMatrix, PreprocessBamSurvivesWriteAndReadFaults) {
   Dataset& d = dataset();
   TempDir tmp("faultprep");
+  core::PreprocessOptions popt;
+  popt.threads = 2;
+  popt.shards = 3;
+  popt.chunk_records = 64;
+  popt.decode_threads = decode_threads();
+  const auto preprocess = [&](const std::string& dir) {
+    core::preprocess_bam_parallel(d.bam_path, dir + "/x.bamxm",
+                                  dir + "/x.baix", popt);
+  };
   const std::string clean_dir = tmp.subdir("clean");
-  core::preprocess_bam(d.bam_path, clean_dir + "/x.bamx", clean_dir + "/x.baix",
-                       decode_threads());
+  preprocess(clean_dir);
   auto clean = snapshot(clean_dir);
 
+  // Shards (several files), the BAIX, and the manifest with the staging
+  // file named after it (one operation of each kind per file).
   int i = 0;
-  for (const FaultCase& fc : write_fault_cases(/*multi_op=*/true)) {
-    const std::string dir = tmp.subdir("w" + std::to_string(i++));
-    // "/x." matches both the BAMX and BAIX destinations.
-    expect_fault(fc, "/x.", dir,
-                 [&] {
-                   core::preprocess_bam(d.bam_path, dir + "/x.bamx",
-                                        dir + "/x.baix", decode_threads());
-                 },
-                 clean);
-    core::preprocess_bam(d.bam_path, dir + "/x.bamx", dir + "/x.baix",
-                         decode_threads());
-    expect_identical(snapshot(dir), clean);
+  for (const auto& [substr, multi_op] :
+       std::vector<std::pair<std::string, bool>>{
+           {"-shard-", true}, {".baix", false}, {".bamxm", false}}) {
+    SCOPED_TRACE(substr);
+    for (const FaultCase& fc : write_fault_cases(multi_op)) {
+      const std::string dir = tmp.subdir("w" + std::to_string(i++));
+      expect_fault(fc, substr, dir, [&] { preprocess(dir); }, clean);
+      expect_no_staging_segments(dir);
+      preprocess(dir);
+      expect_identical(snapshot(dir), clean);
+    }
   }
   i = 0;
   for (const FaultCase& fc : read_fault_cases()) {
     const std::string dir = tmp.subdir("r" + std::to_string(i++));
-    expect_fault(fc, "in.bam", dir,
-                 [&] {
-                   core::preprocess_bam(d.bam_path, dir + "/x.bamx",
-                                        dir + "/x.baix", decode_threads());
-                 },
-                 clean);
-    core::preprocess_bam(d.bam_path, dir + "/x.bamx", dir + "/x.baix",
-                         decode_threads());
+    expect_fault(fc, "in.bam", dir, [&] { preprocess(dir); }, clean);
+    expect_no_staging_segments(dir);
+    preprocess(dir);
     expect_identical(snapshot(dir), clean);
   }
 }
@@ -370,9 +384,11 @@ TEST_P(FaultMatrix, PreprocessBamSurvivesWriteAndReadFaults) {
 TEST_P(FaultMatrix, ConvertBamxSurvivesEveryFaultClass) {
   Dataset& d = dataset();
   TempDir tmp("faultbamx");
-  const std::string bamx = tmp.file("x.bamx");
+  const std::string bamx = tmp.file("x.bamxm");
   const std::string baix = tmp.file("x.baix");
-  core::preprocess_bam(d.bam_path, bamx, baix, decode_threads());
+  core::PreprocessOptions popt;
+  popt.decode_threads = decode_threads();
+  core::preprocess_bam_parallel(d.bam_path, bamx, baix, popt);
 
   for (TargetFormat format : {TargetFormat::kBed, TargetFormat::kBam}) {
     SCOPED_TRACE(core::target_format_name(format));
@@ -394,7 +410,7 @@ TEST_P(FaultMatrix, ConvertBamxSurvivesEveryFaultClass) {
     i = 0;
     for (const FaultCase& fc : read_fault_cases()) {
       const std::string dir = tmp.subdir(tag + "-r" + std::to_string(i++));
-      expect_fault(fc, "x.bamx", dir,
+      expect_fault(fc, "-shard-", dir,
                    [&] { core::convert_bamx(bamx, baix, dir, opt); }, clean);
       core::convert_bamx(bamx, baix, dir, opt);
       expect_identical(snapshot(dir), clean);
@@ -446,29 +462,36 @@ TEST_P(FaultMatrix, ConvertBamSequentialSurvivesEveryFaultClass) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Preprocessing-optimized SAM format converter (M x N shards).
+// 3. Preprocessing-optimized SAM format converter (SAM -> BAMXM, then the
+//    BAM converter's conversion phase).
 // ---------------------------------------------------------------------------
 
 TEST_P(FaultMatrix, ShardedConverterSurvivesFaultsInBothPhases) {
   Dataset& d = dataset();
   ConvertOptions opt = options(TargetFormat::kBed);
   TempDir tmp("faultshard");
+  const auto preprocess = [&](const std::string& dir) {
+    core::preprocess_sam_parallel(d.sam_path, dir + "/x.bamxm",
+                                  dir + "/x.baix", 2);
+  };
 
   const std::string clean_pre = tmp.subdir("clean-pre");
-  auto pre = core::preprocess_sam_parallel(d.sam_path, clean_pre, 2);
+  preprocess(clean_pre);
   auto clean_shards = snapshot(clean_pre);
+  const std::string manifest = clean_pre + "/x.bamxm";
+  const std::string baix = clean_pre + "/x.baix";
   const std::string clean_conv = tmp.subdir("clean-conv");
-  core::convert_bamx_shards(pre.bamx_paths, clean_conv, opt);
+  core::convert_bamx(manifest, baix, clean_conv, opt);
   auto clean_parts = snapshot(clean_conv);
 
-  // Phase 1 faults: shard writers.
+  // Phase 1 faults: shard writers. The manifest is written last, so a dead
+  // shard writer must leave none behind.
   int i = 0;
   for (const FaultCase& fc : write_fault_cases(/*multi_op=*/true)) {
     const std::string dir = tmp.subdir("pre" + std::to_string(i++));
-    expect_fault(fc, "shard-", dir,
-                 [&] { core::preprocess_sam_parallel(d.sam_path, dir, 2); },
-                 clean_shards);
-    core::preprocess_sam_parallel(d.sam_path, dir, 2);
+    expect_fault(fc, "-shard-", dir, [&] { preprocess(dir); }, clean_shards);
+    EXPECT_FALSE(fs::exists(dir + "/x.bamxm")) << fc.name;
+    preprocess(dir);
     expect_identical(snapshot(dir), clean_shards);
   }
 
@@ -477,18 +500,18 @@ TEST_P(FaultMatrix, ShardedConverterSurvivesFaultsInBothPhases) {
   for (const FaultCase& fc : write_fault_cases(/*multi_op=*/true)) {
     const std::string dir = tmp.subdir("conv" + std::to_string(i++));
     expect_fault(fc, "part-", dir,
-                 [&] { core::convert_bamx_shards(pre.bamx_paths, dir, opt); },
+                 [&] { core::convert_bamx(manifest, baix, dir, opt); },
                  clean_parts);
-    core::convert_bamx_shards(pre.bamx_paths, dir, opt);
+    core::convert_bamx(manifest, baix, dir, opt);
     expect_identical(snapshot(dir), clean_parts);
   }
   i = 0;
   for (const FaultCase& fc : read_fault_cases()) {
     const std::string dir = tmp.subdir("convr" + std::to_string(i++));
-    expect_fault(fc, ".bamx", dir,
-                 [&] { core::convert_bamx_shards(pre.bamx_paths, dir, opt); },
+    expect_fault(fc, "-shard-", dir,
+                 [&] { core::convert_bamx(manifest, baix, dir, opt); },
                  clean_parts);
-    core::convert_bamx_shards(pre.bamx_paths, dir, opt);
+    core::convert_bamx(manifest, baix, dir, opt);
     expect_identical(snapshot(dir), clean_parts);
   }
 }

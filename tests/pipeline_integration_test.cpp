@@ -96,9 +96,9 @@ TEST(PipelineIntegration, EndToEnd) {
   ASSERT_FALSE(chunks.empty());
 
   // ---- 5. Preprocess (paper III-B) and convert in parallel.
-  const std::string bamx = tmp.file("a.bamx");
+  const std::string bamx = tmp.file("a.bamxm");
   const std::string baix = tmp.file("a.baix");
-  auto pre = core::preprocess_bam(sorted_bam, bamx, baix);
+  auto pre = core::preprocess_bam_parallel(sorted_bam, bamx, baix);
   ASSERT_EQ(pre.records, records.size());
 
   core::ConvertOptions convert_options;

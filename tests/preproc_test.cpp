@@ -1,7 +1,9 @@
-// Tests for the single-pass parallel BAM preprocessor (BAMXM shard
-// manifests): byte-identity against the sequential two-pass preprocessor,
-// the ShardedBamxReader record-space view, manifest validation, and
-// crash-consistency when a shard committer dies mid-preprocess.
+// Tests for the preprocessors and their one on-disk layout (BAMXM shard
+// manifests + merged BAIX): byte-identity of the single-pass parallel BAM
+// preprocessor against a sequential encoder local to this test, SAM- vs
+// BAM-derived datasets, the ShardedBamxReader record-space view, manifest
+// validation, and crash-consistency when a shard committer dies
+// mid-preprocess.
 
 #include <gtest/gtest.h>
 
@@ -19,24 +21,31 @@ namespace {
 namespace fs = std::filesystem;
 using sam::AlignmentRecord;
 
+/// The same simulated records written as SAM and as BAM.
 struct Dataset {
   TempDir tmp;
   simdata::ReferenceGenome genome;
   std::vector<AlignmentRecord> records;
+  std::string sam_path;
   std::string bam_path;
 
-  explicit Dataset(uint64_t pairs = 300, uint64_t seed = 41)
-      : genome(simdata::ReferenceGenome::simulate(
-            simdata::mouse_like_references(400000), seed)) {
+  explicit Dataset(uint64_t pairs = 300, uint64_t seed = 41,
+                   const std::vector<sam::Reference>& refs =
+                       simdata::mouse_like_references(400000))
+      : genome(simdata::ReferenceGenome::simulate(refs, seed)) {
     simdata::ReadSimConfig cfg;
     cfg.seed = seed;
     records = simdata::simulate_alignments(genome, pairs, cfg);
+    sam_path = tmp.file("in.sam");
     bam_path = tmp.file("in.bam");
-    bam::BamFileWriter w(bam_path, genome.header());
+    sam::SamFileWriter sw(sam_path, genome.header());
+    bam::BamFileWriter bw(bam_path, genome.header());
     for (const auto& r : records) {
-      w.write(r);
+      sw.write(r);
+      bw.write(r);
     }
-    w.close();
+    sw.close();
+    bw.close();
   }
 };
 
@@ -56,11 +65,30 @@ std::string concat_outputs(const ConvertStats& stats) {
   return all;
 }
 
-/// Runs both preprocessors over `d` and returns (seq bamx, seq baix,
-/// manifest, par baix) paths. `opt` controls the parallel run.
+/// The oracle: measure every record, then encode them in order into one
+/// monolithic BAMX under that layout, and index them with from_entries'
+/// stable sort. What any preprocessor must reproduce byte for byte.
+void encode_sequentially(const Dataset& d, const std::string& bamx_path,
+                         const std::string& baix_path) {
+  bamx::BamxLayout layout;
+  for (const AlignmentRecord& rec : d.records) {
+    layout.accommodate(rec);
+  }
+  bamx::BamxWriter writer(bamx_path, d.genome.header(), layout);
+  std::vector<bamx::BaixEntry> entries;
+  for (const AlignmentRecord& rec : d.records) {
+    writer.write(rec);
+    entries.push_back(bamx::BaixEntry{rec.ref_id, rec.pos, entries.size()});
+  }
+  writer.close();
+  bamx::BaixIndex::from_entries(std::move(entries)).save(baix_path);
+}
+
+/// The oracle's files next to a parallel preprocessor run over `d`.
+/// `opt` controls the parallel run.
 struct PreprocPair {
   std::string seq_bamx, seq_baix, manifest, par_baix;
-  PreprocessStats seq_stats, par_stats;
+  PreprocessStats par_stats;
 };
 
 PreprocPair preprocess_both(const Dataset& d, PreprocessOptions opt) {
@@ -69,7 +97,7 @@ PreprocPair preprocess_both(const Dataset& d, PreprocessOptions opt) {
   p.seq_baix = d.tmp.file("seq.baix");
   p.manifest = d.tmp.file("par.bamxm");
   p.par_baix = d.tmp.file("par.baix");
-  p.seq_stats = preprocess_bam(d.bam_path, p.seq_bamx, p.seq_baix);
+  encode_sequentially(d, p.seq_bamx, p.seq_baix);
   p.par_stats = preprocess_bam_parallel(d.bam_path, p.manifest, p.par_baix,
                                         opt);
   return p;
@@ -85,7 +113,6 @@ TEST(PreprocessParallel, ShardsConcatenateToSequentialBytes) {
   opt.chunk_records = 37;  // many chunks -> layout merging is exercised
   PreprocPair p = preprocess_both(d, opt);
 
-  EXPECT_EQ(p.par_stats.records, p.seq_stats.records);
   EXPECT_EQ(p.par_stats.records, d.records.size());
 
   // The BAIX must be bit-identical: the parallel merge of per-chunk sorted
@@ -160,6 +187,66 @@ TEST(PreprocessParallel, Baix2BuildsOverManifest) {
   build_baix2(p.seq_bamx, seq2);
   build_baix2(p.manifest, par2);
   EXPECT_EQ(read_file(par2), read_file(seq2));
+}
+
+// ------------------------------------------------ SAM- vs BAM-derived
+
+/// Asserts that two published datasets agree on everything that must not
+/// depend on the preprocessor: the BAIX bytes, the manifest's layout and
+/// record count, and the shard data sections concatenated in manifest
+/// order. (Shard boundaries may differ: Algorithm-1 byte partitions vs
+/// even record splits.)
+void expect_same_dataset(const std::string& dir, const std::string& a,
+                         const std::string& b) {
+  EXPECT_EQ(read_file(dir + "/" + a + ".baix"),
+            read_file(dir + "/" + b + ".baix"));
+  auto concat = [&](const bamx::BamxManifest& m) {
+    std::string data;
+    for (const auto& shard : m.shards) {
+      data += data_section(dir + "/" + shard.path);
+    }
+    return data;
+  };
+  auto ma = bamx::BamxManifest::load(dir + "/" + a + ".bamxm");
+  auto mb = bamx::BamxManifest::load(dir + "/" + b + ".bamxm");
+  EXPECT_EQ(ma.layout, mb.layout);
+  EXPECT_EQ(ma.n_records, mb.n_records);
+  EXPECT_EQ(concat(ma), concat(mb));
+}
+
+/// Runs both preprocessors with M shards over `d` (SAM at M ranks, BAM at
+/// M shards) and checks that they publish the same dataset.
+void expect_sam_matches_bam(const Dataset& d, int m) {
+  SCOPED_TRACE("M=" + std::to_string(m));
+  const std::string sam = "sam" + std::to_string(m);
+  const std::string bam = "bam" + std::to_string(m);
+  auto sam_stats = preprocess_sam_parallel(
+      d.sam_path, d.tmp.file(sam + ".bamxm"), d.tmp.file(sam + ".baix"), m);
+  PreprocessOptions opt;
+  opt.threads = 3;
+  opt.shards = m;
+  opt.chunk_records = 7;
+  auto bam_stats = preprocess_bam_parallel(
+      d.bam_path, d.tmp.file(bam + ".bamxm"), d.tmp.file(bam + ".baix"), opt);
+  EXPECT_EQ(sam_stats.records, d.records.size());
+  EXPECT_EQ(bam_stats.records, d.records.size());
+  EXPECT_EQ(bamx::ShardedBamxReader(d.tmp.file(sam + ".bamxm")).num_shards(),
+            static_cast<size_t>(m));
+  expect_same_dataset(d.tmp.path(), sam, bam);
+}
+
+TEST(PreprocessCross, SamAndBamPublishTheSameDataset) {
+  Dataset d(150);
+  for (int m : {1, 3, 9}) {
+    expect_sam_matches_bam(d, m);
+  }
+  // 20 records over 8 shards: more shards than records per shard.
+  Dataset few(10, 19, {sam::Reference{"chr1", 200000}});
+  expect_sam_matches_bam(few, 8);
+  Dataset empty(0);
+  for (int m : {1, 3}) {
+    expect_sam_matches_bam(empty, m);
+  }
 }
 
 // --------------------------------------------------- sharded record space

@@ -57,10 +57,10 @@ struct ServeData {
       w.write(r);
     }
     w.close();
-    bamx = tmp.file("in.bamx");
+    bamx = tmp.file("in.bamxm");
     baix = tmp.file("in.baix");
     baix2 = tmp.file("in.baix2");
-    core::preprocess_bam(bam, bamx, baix);
+    core::preprocess_bam_parallel(bam, bamx, baix);
     core::build_baix2(bamx, baix2);
   }
 };
@@ -195,7 +195,7 @@ TEST(ServeByteIdentity, OverlapAndFiltersMatchConvertBamxFiltered) {
 
 TEST(ServeByteIdentity, ShardedManifestSource) {
   ServeData d;
-  const std::string manifest = d.tmp.file("in.bamxm");
+  const std::string manifest = d.tmp.file("par.bamxm");
   const std::string par_baix = d.tmp.file("par.baix");
   core::PreprocessOptions popt;
   popt.threads = 3;
@@ -209,11 +209,40 @@ TEST(ServeByteIdentity, ShardedManifestSource) {
   const Region region = session.parse("chr2:1-300000");
   ServeResult result = scheduler.submit(make_request(region));
   ASSERT_TRUE(result.ok) << result.error;
-  // The sharded BAMX data is byte-identical to the monolithic one, so the
-  // monolithic converter is still the ground truth.
+  // The shard count does not change the record bytes, so the one-shot
+  // converter over the default-width dataset is still the ground truth.
   EXPECT_EQ(result.payload,
             convert_reference(d, d.tmp.file("ref-sharded"), TargetFormat::kSam,
                               region));
+}
+
+TEST(ServeByteIdentity, SamDerivedDatasetMatchesBamDerived) {
+  ServeData d;
+  const std::string sam = d.tmp.file("in.sam");
+  {
+    sam::SamFileWriter w(sam, d.genome.header());
+    for (const auto& r : d.records) {
+      w.write(r);
+    }
+    w.close();
+  }
+  const std::string manifest = d.tmp.file("sam.bamxm");
+  const std::string sam_baix = d.tmp.file("sam.baix");
+  core::preprocess_sam_parallel(sam, manifest, sam_baix, 3);
+
+  ConversionSession session(SessionOptions{manifest, sam_baix, {}});
+  exec::Pool pool(2);
+  Scheduler scheduler(session, pool, {});
+  for (const char* text : {"chr1:1-200000", "chr2:50001-300000"}) {
+    SCOPED_TRACE(text);
+    const Region region = session.parse(text);
+    ServeResult result = scheduler.submit(make_request(region));
+    ASSERT_TRUE(result.ok) << result.error;
+    // Ground truth: partial conversion of the BAM-derived dataset.
+    EXPECT_EQ(result.payload,
+              convert_reference(d, d.tmp.subdir("ref-sam"), TargetFormat::kSam,
+                                region));
+  }
 }
 
 // ------------------------------------------------------------- scheduler
@@ -378,7 +407,7 @@ TEST(ServeScheduler, FiltersWithoutBaix2AreBadRequest) {
 
 TEST(ServeCache, HitMissEvictionAccounting) {
   ServeData d;
-  bamx::BamxReader source(d.bamx);
+  bamx::ShardedBamxReader source(d.bamx);
   const uint64_t stride = source.layout().stride();
   const uint64_t rpb = 16;
   // Budget of exactly two full blocks.
@@ -406,7 +435,7 @@ TEST(ServeCache, HitMissEvictionAccounting) {
 
 TEST(ServeCache, CachedFetcherDecodesIdentically) {
   ServeData d;
-  bamx::BamxReader source(d.bamx);
+  bamx::ShardedBamxReader source(d.bamx);
   BlockCache cache(1 << 20, 8);
   CachedFetcher fetcher(source, cache);
   AlignmentRecord direct, cached;
