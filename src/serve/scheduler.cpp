@@ -43,10 +43,7 @@ Scheduler::Scheduler(const core::ConversionSession& session, exec::Pool& pool,
       options_(std::move(options)),
       queue_(std::max<size_t>(options_.max_queued, 1)),
       consumers_(pool) {
-  const int n = options_.consumers > 0
-                    ? std::min(options_.consumers, pool.size())
-                    : pool.size();
-  for (int i = 0; i < n; ++i) {
+  for (int i = 0; i < pool.size(); ++i) {
     consumers_.spawn([this] { consume(); });
   }
 }

@@ -27,7 +27,6 @@ Server::Server(const core::ConversionSession& session, exec::Pool& pool,
   }
   SchedulerOptions sched;
   sched.max_queued = options.max_queued;
-  sched.consumers = options.consumers;
   sched.fetcher = fetcher_.get();
   scheduler_ = std::make_unique<Scheduler>(session, pool, std::move(sched));
 }
@@ -81,6 +80,11 @@ std::string Server::handle_line(std::string_view line) {
 
 namespace {
 
+/// Longest request line (without its newline) a connection may send. A
+/// longer one is answered with `ERR bad-request` and its connection closed,
+/// which bounds each connection's line buffer.
+constexpr size_t kMaxLineBytes = 64 * 1024;
+
 void write_all(int fd, std::string_view bytes) {
   size_t sent = 0;
   while (sent < bytes.size()) {
@@ -125,11 +129,15 @@ void Server::serve_unix(const std::string& socket_path) {
       }
       break;  // listener shut down (stop()) or failed: exit the loop
     }
+    {
+      std::lock_guard<std::mutex> lock(open_connections_mu_);
+      open_connections_.push_back(conn);
+    }
     connections.emplace_back([this, conn] {
       static obs::Counter& connection_counter =
           obs::counter("serve.connections");
       connection_counter.add(1);
-      std::string buffer;
+      std::string buffer;  // received bytes not yet framed into a line
       char chunk[4096];
       bool open = true;
       while (open) {
@@ -138,14 +146,17 @@ void Server::serve_unix(const std::string& socket_path) {
           if (n < 0 && errno == EINTR) {
             continue;
           }
-          break;
+          break;  // peer closed, or serve_unix shut our read side down
         }
+        // Only the new bytes can hold a newline; the rest was scanned.
+        size_t nl = buffer.size();
         buffer.append(chunk, static_cast<size_t>(n));
-        size_t nl;
-        while (open && (nl = buffer.find('\n')) != std::string::npos) {
-          const std::string line = buffer.substr(0, nl);
-          buffer.erase(0, nl + 1);
-          const std::string response = handle_line(line);
+        size_t start = 0;
+        while (open && (nl = buffer.find('\n', nl)) != std::string::npos &&
+               nl - start <= kMaxLineBytes) {
+          const std::string response =
+              handle_line(std::string_view(buffer).substr(start, nl - start));
+          start = ++nl;
           if (response.empty()) {
             open = false;  // QUIT: close this connection silently
             break;
@@ -156,6 +167,22 @@ void Server::serve_unix(const std::string& socket_path) {
             stop();
           }
         }
+        buffer.erase(0, start);
+        // Still open with a newline found: that line was over the cap.
+        if (open && (nl != std::string::npos ||
+                     buffer.size() > kMaxLineBytes)) {
+          write_all(conn, err_response("bad-request",
+                                       "request line longer than " +
+                                           std::to_string(kMaxLineBytes) +
+                                           " bytes"));
+          open = false;
+        }
+      }
+      {
+        // Deregister before close so serve_unix never shuts down a reused
+        // descriptor number.
+        std::lock_guard<std::mutex> lock(open_connections_mu_);
+        std::erase(open_connections_, conn);
       }
       ::close(conn);
     });
@@ -163,6 +190,15 @@ void Server::serve_unix(const std::string& socket_path) {
 
   ::close(fd);
   listen_fd_.store(-1, std::memory_order_release);
+  {
+    // Wake every connection thread blocked in recv() (an idle client must
+    // not hold shutdown hostage). Only the read side closes: a response in
+    // flight is still written, then its thread sees end-of-stream.
+    std::lock_guard<std::mutex> lock(open_connections_mu_);
+    for (int conn : open_connections_) {
+      ::shutdown(conn, SHUT_RD);
+    }
+  }
   for (std::thread& t : connections) {
     t.join();
   }

@@ -16,8 +16,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/session.h"
 #include "exec/pool.h"
@@ -28,7 +30,6 @@ namespace ngsx::serve {
 
 struct ServerOptions {
   size_t max_queued = 64;          // scheduler admission bound
-  int consumers = 0;               // scheduler consumer loops; 0 => pool size
   size_t cache_bytes = 0;          // block cache budget; 0 disables caching
   uint64_t records_per_block = 512;
 };
@@ -54,13 +55,16 @@ class Server {
   }
 
   /// Listens on `socket_path` (an existing socket file is replaced) and
-  /// serves until SHUTDOWN arrives or stop() is called; drains in-flight
-  /// work, joins connection threads, and removes the socket file before
-  /// returning.
+  /// serves until SHUTDOWN arrives or stop() is called. It then shuts down
+  /// the read side of every open connection (idle clients cannot keep it
+  /// alive), writes the responses still in flight, drains accepted work,
+  /// joins connection threads, and removes the socket file before
+  /// returning. A request line longer than 64 KiB is answered with
+  /// `ERR bad-request` and closes its connection.
   void serve_unix(const std::string& socket_path);
 
   /// Unblocks a running serve_unix() from another thread or a signal
-  /// handler path.
+  /// handler (async-signal-safe: an atomic store and shutdown(2)).
   void stop();
 
   Scheduler& scheduler() { return *scheduler_; }
@@ -73,6 +77,8 @@ class Server {
   std::unique_ptr<Scheduler> scheduler_;
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<int> listen_fd_{-1};
+  std::mutex open_connections_mu_;
+  std::vector<int> open_connections_;  // accepted, not yet closed
 };
 
 }  // namespace ngsx::serve

@@ -2,16 +2,23 @@
 // payloads against the one-shot converters, deterministic scheduler
 // behavior (coalescing, admission control, deadlines, shutdown drain),
 // block-cache accounting, the wire protocol, serve.* metrics, the
-// periodic metrics flusher, and a concurrent-query stress over one shared
-// session (the TSan job runs this binary).
+// periodic metrics flusher, the Unix-socket front-end (line-length bound,
+// shutdown with an idle client), and a concurrent-query stress over one
+// shared session (the TSan job runs this binary).
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -562,6 +569,133 @@ TEST(ServeServer, HandleLineEndToEnd) {
       snap.histogram_value("serve.request_us");
   ASSERT_NE(latency, nullptr);
   EXPECT_GE(latency->count, 1u);
+}
+
+// ---------------------------------------------------------- socket server
+
+/// Connects to `path`, retrying while serve_unix is still binding.
+int connect_unix(const std::string& path) {
+  const auto give_up = steady_clock::now() + std::chrono::seconds(5);
+  while (true) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+        0) {
+      return fd;
+    }
+    ::close(fd);
+    if (steady_clock::now() > give_up) {
+      return -1;
+    }
+    std::this_thread::sleep_for(milliseconds(5));
+  }
+}
+
+void send_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+}
+
+/// Reads until `want` bytes arrived, the peer closed, or `timeout` passed.
+std::string read_for(int fd, size_t want, milliseconds timeout) {
+  std::string got;
+  const auto deadline = steady_clock::now() + timeout;
+  while (got.size() < want) {
+    const auto left = std::chrono::duration_cast<milliseconds>(
+        deadline - steady_clock::now());
+    pollfd p{fd, POLLIN, 0};
+    if (left.count() <= 0 || ::poll(&p, 1, static_cast<int>(left.count())) <= 0) {
+      break;
+    }
+    char buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) {
+      break;
+    }
+    got.append(buf, static_cast<size_t>(n));
+  }
+  return got;
+}
+
+constexpr size_t kUntilClosed = std::numeric_limits<size_t>::max();
+
+TEST(ServeSocket, OversizedLineRejectedOthersStillServed) {
+  ServeData d;
+  ConversionSession session(SessionOptions{d.bamx, d.baix, d.baix2});
+  exec::Pool pool(2);
+  Server server(session, pool, {});
+  const std::string path = d.tmp.file("d.sock");
+  std::thread daemon([&] { server.serve_unix(path); });
+
+  // 4 MB without a newline: the daemon must answer a typed error once the
+  // line passes its cap, not buffer (and rescan) all of it.
+  const int flood = connect_unix(path);
+  ASSERT_GE(flood, 0);
+  const auto began = steady_clock::now();
+  const std::string block(64 * 1024, 'A');
+  for (int i = 0; i < 64; ++i) {
+    if (::send(flood, block.data(), block.size(), MSG_NOSIGNAL) < 0) {
+      break;  // the daemon closed this connection, as it should
+    }
+  }
+  const std::string reply = read_for(flood, kUntilClosed, milliseconds(2000));
+  const auto took = steady_clock::now() - began;
+  ::close(flood);
+  EXPECT_EQ(reply.rfind("ERR bad-request ", 0), 0u) << reply;
+  EXPECT_LT(took, std::chrono::seconds(2));
+
+  // Another connection is served as usual.
+  const int other = connect_unix(path);
+  ASSERT_GE(other, 0);
+  send_all(other, "PING\n");
+  EXPECT_EQ(read_for(other, 10, milliseconds(2000)), "OK 5\npong\n");
+  send_all(other, "SHUTDOWN\n");
+  EXPECT_EQ(read_for(other, 9, milliseconds(2000)), "OK 4\nbye\n");
+  daemon.join();
+  ::close(other);
+}
+
+TEST(ServeSocket, IdleClientDoesNotHoldShutdownHostage) {
+  ServeData d;
+  ConversionSession session(SessionOptions{d.bamx, d.baix, d.baix2});
+  exec::Pool pool(2);
+  Server server(session, pool, {});
+  const std::string path = d.tmp.file("d.sock");
+  std::promise<void> returned;
+  std::future<void> exited = returned.get_future();
+  std::thread daemon([&] {
+    server.serve_unix(path);
+    returned.set_value();
+  });
+
+  // One PING first, so the idle client's connection thread is known to be
+  // parked in recv() when SHUTDOWN arrives.
+  const int idle = connect_unix(path);
+  ASSERT_GE(idle, 0);
+  send_all(idle, "PING\n");
+  EXPECT_EQ(read_for(idle, 10, milliseconds(2000)), "OK 5\npong\n");
+
+  const int admin = connect_unix(path);
+  ASSERT_GE(admin, 0);
+  send_all(admin, "SHUTDOWN\n");
+  EXPECT_EQ(read_for(admin, 9, milliseconds(2000)), "OK 4\nbye\n");
+  const bool in_time =
+      exited.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  EXPECT_TRUE(in_time) << "serve_unix still running 2 s after SHUTDOWN";
+  // The idle client sees end-of-stream (closing it also frees a daemon that
+  // failed the bound, so the test reports instead of hanging).
+  if (in_time) {
+    EXPECT_EQ(read_for(idle, kUntilClosed, milliseconds(2000)), "");
+  }
+  ::close(idle);
+  daemon.join();
+  ::close(admin);
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 // -------------------------------------------------------- metrics flusher

@@ -207,13 +207,14 @@ TEST_P(NlMeansRanks, ParallelBitIdenticalToSequential) {
   }
 }
 
-TEST_P(NlMeansRanks, OmpBitIdenticalToSequential) {
+TEST_P(NlMeansRanks, PoolBitIdenticalToSequential) {
   auto data = noisy_signal(1500, 32);
   NlMeansParams params;
   params.r = 12;
   params.l = 5;
   auto seq = nlmeans(data, params);
-  auto par = nlmeans_parallel_omp(data, params, GetParam());
+  auto par = nlmeans_parallel_pool(data, params, GetParam());
+  ASSERT_EQ(par.size(), seq.size());
   for (size_t i = 0; i < seq.size(); ++i) {
     EXPECT_DOUBLE_EQ(par[i], seq[i]);
   }
@@ -350,13 +351,6 @@ TEST_P(FdrRanks, TwoPassEqualsReference) {
   FdrResult ref = fdr_reference(f.hist, f.sims, 4);
   FdrResult two = fdr_parallel_two_pass(f.hist, f.sims, 4, GetParam());
   EXPECT_DOUBLE_EQ(two.fdr, ref.fdr);
-}
-
-TEST_P(FdrRanks, OmpEqualsReference) {
-  FdrFixture f;
-  FdrResult ref = fdr_reference(f.hist, f.sims, 4);
-  FdrResult omp = fdr_parallel_omp(f.hist, f.sims, 4, GetParam());
-  EXPECT_DOUBLE_EQ(omp.fdr, ref.fdr);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankSweep, FdrRanks,
