@@ -589,22 +589,28 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
           },
           [&](RawChunk&& chunk, uint64_t) {
             obs::Span encode_span("convert", "preprocess.encode");
+            // Raw BAM bodies transcode straight into BAMX: one validating
+            // scan for the chunk layout, then per-section copies, with no
+            // AlignmentRecord in between (bytes equal to decode + encode).
             EncodedChunk out;
-            std::vector<AlignmentRecord> recs(chunk.sizes.size());
+            const std::string_view bytes(chunk.bytes);
+            std::vector<bamx::BamRecordShape> shapes(chunk.sizes.size());
             size_t off = 0;
             for (size_t k = 0; k < chunk.sizes.size(); ++k) {
-              bam::decode_record(
-                  std::string_view(chunk.bytes).substr(off, chunk.sizes[k]),
-                  recs[k]);
-              out.layout.accommodate(recs[k]);
+              shapes[k] =
+                  bamx::scan_bam_record(bytes.substr(off, chunk.sizes[k]));
+              out.layout.accommodate(shapes[k]);
               off += chunk.sizes[k];
             }
-            out.blob.reserve(recs.size() * out.layout.stride());
-            out.entries.reserve(recs.size());
-            for (size_t k = 0; k < recs.size(); ++k) {
-              bamx::encode_record(recs[k], out.layout, out.blob);
+            out.blob.reserve(shapes.size() * out.layout.stride());
+            out.entries.reserve(shapes.size());
+            off = 0;
+            for (size_t k = 0; k < shapes.size(); ++k) {
+              bamx::transcode_bam_record(bytes.substr(off, chunk.sizes[k]),
+                                         shapes[k], out.layout, out.blob);
               out.entries.push_back(
-                  bamx::BaixEntry{recs[k].ref_id, recs[k].pos, k});
+                  bamx::BaixEntry{shapes[k].ref_id, shapes[k].pos, k});
+              off += chunk.sizes[k];
             }
             std::stable_sort(out.entries.begin(), out.entries.end(),
                              bamx::baix_entry_less);

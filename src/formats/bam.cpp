@@ -1,5 +1,6 @@
 #include "formats/bam.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "formats/bgzf_parallel.h"
@@ -39,6 +40,283 @@ size_t reg2bins(int32_t beg, int32_t end, std::vector<uint16_t>& bins) {
   for (int32_t k = 4681 + (beg >> 14); k <= 4681 + (end >> 14); ++k)
     bins.push_back(static_cast<uint16_t>(k));
   return bins.size();
+}
+
+// ---------------------------------------------------------------------- aux
+
+namespace {
+
+/// Bytes per element of a B array subtype; 0 for an unknown subtype.
+size_t b_width(char subtype) {
+  switch (subtype) {
+    case 'c': case 'C': return 1;
+    case 's': case 'S': return 2;
+    case 'i': case 'I': case 'f': return 4;
+    default: return 0;
+  }
+}
+
+template <typename T>
+char* put(char* dst, T v) {
+  std::memcpy(dst, &v, sizeof(v));
+  return dst + sizeof(v);
+}
+
+template <typename T>
+T take(const char*& src) {
+  T v;
+  std::memcpy(&v, src, sizeof(v));
+  src += sizeof(v);
+  return v;
+}
+
+/// decode_aux holds a float as a double and encode_aux narrows it back,
+/// which quiets a signaling NaN. Do the same conversion for real: the
+/// volatile keeps the compiler from folding float -> double -> float away.
+float through_double(float v) {
+  volatile double wide = v;
+  return static_cast<float>(wide);
+}
+
+}  // namespace
+
+size_t aux_encoded_size(const std::vector<AuxField>& tags) {
+  size_t n = 0;
+  for (const AuxField& aux : tags) {
+    n += 3;  // tag + type
+    switch (aux.type) {
+      case 'A': n += 1; break;
+      case 'i': case 'f': n += 4; break;
+      case 'Z': case 'H': n += aux.str_value.size() + 1; break;
+      case 'B': {
+        size_t count = aux.subtype == 'f' ? aux.float_array.size()
+                                          : aux.int_array.size();
+        if (count > 0 && b_width(aux.subtype) == 0) {
+          throw FormatError("unknown B subtype in encode");
+        }
+        n += 5 + count * b_width(aux.subtype);
+        break;
+      }
+      default:
+        throw FormatError(std::string("unknown aux type '") + aux.type +
+                          "' in encode");
+    }
+  }
+  return n;
+}
+
+char* encode_aux(const std::vector<AuxField>& tags, char* dst) {
+  for (const AuxField& aux : tags) {
+    *dst++ = aux.tag[0];
+    *dst++ = aux.tag[1];
+    switch (aux.type) {
+      case 'A':
+        *dst++ = 'A';
+        *dst++ = static_cast<char>(aux.int_value);
+        break;
+      case 'i':
+        // Always encoded as int32 ('i'); all integer widths decode back to
+        // SAM type 'i' anyway.
+        *dst++ = 'i';
+        dst = put(dst, static_cast<int32_t>(aux.int_value));
+        break;
+      case 'f':
+        *dst++ = 'f';
+        dst = put(dst, static_cast<float>(aux.float_value));
+        break;
+      case 'Z':
+      case 'H':
+        *dst++ = aux.type;
+        std::memcpy(dst, aux.str_value.data(), aux.str_value.size());
+        dst += aux.str_value.size();
+        *dst++ = '\0';
+        break;
+      case 'B': {
+        *dst++ = 'B';
+        *dst++ = aux.subtype;
+        size_t n = aux.subtype == 'f' ? aux.float_array.size()
+                                      : aux.int_array.size();
+        dst = put(dst, static_cast<int32_t>(n));
+        const std::vector<int64_t>& v = aux.int_array;
+        for (size_t i = 0; i < n; ++i) {
+          switch (aux.subtype) {
+            case 'c': dst = put(dst, static_cast<int8_t>(v[i])); break;
+            case 'C': dst = put(dst, static_cast<uint8_t>(v[i])); break;
+            case 's': dst = put(dst, static_cast<int16_t>(v[i])); break;
+            case 'S': dst = put(dst, static_cast<uint16_t>(v[i])); break;
+            case 'i': dst = put(dst, static_cast<int32_t>(v[i])); break;
+            case 'I': dst = put(dst, static_cast<uint32_t>(v[i])); break;
+            case 'f':
+              dst = put(dst, static_cast<float>(aux.float_array[i]));
+              break;
+            default:
+              throw FormatError("unknown B subtype in encode");
+          }
+        }
+        break;
+      }
+      default:
+        throw FormatError(std::string("unknown aux type '") + aux.type +
+                          "' in encode");
+    }
+  }
+  return dst;
+}
+
+void decode_aux(std::string_view bytes, std::vector<AuxField>& tags) {
+  tags.clear();
+  ByteReader r(bytes);
+  while (!r.eof()) {
+    AuxField aux;
+    std::string_view tag = r.read_bytes(2);
+    aux.tag[0] = tag[0];
+    aux.tag[1] = tag[1];
+    char type = static_cast<char>(r.read<uint8_t>());
+    switch (type) {
+      case 'A':
+        aux.type = 'A';
+        aux.int_value = static_cast<char>(r.read<uint8_t>());
+        break;
+      case 'c': aux.type = 'i'; aux.int_value = r.read<int8_t>(); break;
+      case 'C': aux.type = 'i'; aux.int_value = r.read<uint8_t>(); break;
+      case 's': aux.type = 'i'; aux.int_value = r.read<int16_t>(); break;
+      case 'S': aux.type = 'i'; aux.int_value = r.read<uint16_t>(); break;
+      case 'i': aux.type = 'i'; aux.int_value = r.read<int32_t>(); break;
+      case 'I': aux.type = 'i'; aux.int_value = r.read<uint32_t>(); break;
+      case 'f':
+        aux.type = 'f';
+        aux.float_value = r.read<float>();
+        break;
+      case 'Z':
+      case 'H':
+        aux.type = type;
+        aux.str_value = std::string(r.read_cstr());
+        break;
+      case 'B': {
+        aux.type = 'B';
+        aux.subtype = static_cast<char>(r.read<uint8_t>());
+        int32_t n = r.read<int32_t>();
+        for (int32_t i = 0; i < n; ++i) {
+          switch (aux.subtype) {
+            case 'c': aux.int_array.push_back(r.read<int8_t>()); break;
+            case 'C': aux.int_array.push_back(r.read<uint8_t>()); break;
+            case 's': aux.int_array.push_back(r.read<int16_t>()); break;
+            case 'S': aux.int_array.push_back(r.read<uint16_t>()); break;
+            case 'i': aux.int_array.push_back(r.read<int32_t>()); break;
+            case 'I': aux.int_array.push_back(r.read<uint32_t>()); break;
+            case 'f': aux.float_array.push_back(r.read<float>()); break;
+            default:
+              throw FormatError("unknown B subtype in decode");
+          }
+        }
+        break;
+      }
+      default:
+        throw FormatError(std::string("unknown aux type byte '") + type +
+                          "' in decode");
+    }
+    tags.push_back(std::move(aux));
+  }
+}
+
+size_t scan_aux(std::string_view bytes) {
+  // Mirrors decode_aux's reads, so it throws wherever decode_aux does.
+  ByteReader r(bytes);
+  size_t n = 0;
+  while (!r.eof()) {
+    r.read_bytes(2);
+    const char type = static_cast<char>(r.read<uint8_t>());
+    n += 3;
+    switch (type) {
+      case 'A':
+        r.skip(1);
+        n += 1;
+        break;
+      case 'c': case 'C': case 's': case 'S': case 'i': case 'I': case 'f':
+        r.skip(b_width(type));
+        n += 4;
+        break;
+      case 'Z':
+      case 'H':
+        n += r.read_cstr().size() + 1;
+        break;
+      case 'B': {
+        const char subtype = static_cast<char>(r.read<uint8_t>());
+        const int32_t count = r.read<int32_t>();
+        n += 5;
+        if (count > 0) {
+          if (b_width(subtype) == 0) {
+            throw FormatError("unknown B subtype in decode");
+          }
+          const size_t elements = static_cast<size_t>(count) * b_width(subtype);
+          r.skip(elements);
+          n += elements;
+        }
+        break;
+      }
+      default:
+        throw FormatError(std::string("unknown aux type byte '") + type +
+                          "' in decode");
+    }
+  }
+  return n;
+}
+
+char* normalize_aux(std::string_view bytes, char* dst) {
+  const char* in = bytes.data();
+  const char* end = in + bytes.size();
+  while (in < end) {
+    *dst++ = *in++;
+    *dst++ = *in++;
+    const char type = *in++;
+    auto put_int = [&](int64_t v) {
+      *dst++ = 'i';
+      dst = put(dst, static_cast<int32_t>(v));
+    };
+    switch (type) {
+      case 'A':
+        *dst++ = 'A';
+        *dst++ = *in++;
+        break;
+      case 'c': put_int(take<int8_t>(in)); break;
+      case 'C': put_int(take<uint8_t>(in)); break;
+      case 's': put_int(take<int16_t>(in)); break;
+      case 'S': put_int(take<uint16_t>(in)); break;
+      case 'i': put_int(take<int32_t>(in)); break;
+      case 'I': put_int(take<uint32_t>(in)); break;
+      case 'f':
+        *dst++ = 'f';
+        dst = put(dst, through_double(take<float>(in)));
+        break;
+      case 'B': {
+        const char subtype = *in++;
+        const int32_t count = std::max(take<int32_t>(in), 0);
+        *dst++ = 'B';
+        *dst++ = subtype;
+        dst = put(dst, count);
+        if (subtype == 'f') {
+          for (int32_t i = 0; i < count; ++i) {
+            dst = put(dst, through_double(take<float>(in)));
+          }
+        } else {
+          const size_t n = static_cast<size_t>(count) * b_width(subtype);
+          std::memcpy(dst, in, n);
+          in += n;
+          dst += n;
+        }
+        break;
+      }
+      default: {  // 'Z' or 'H': the string and its NUL
+        const size_t n =
+            static_cast<const char*>(std::memchr(in, '\0', end - in)) - in + 1;
+        *dst++ = type;
+        std::memcpy(dst, in, n);
+        in += n;
+        dst += n;
+      }
+    }
+  }
+  return dst;
 }
 
 // ------------------------------------------------------------------- encode
@@ -89,78 +367,9 @@ void encode_record(const AlignmentRecord& rec, std::string& out) {
     seqcodec::ascii_to_quals(rec.qual, out.data() + base);
   }
 
-  // Aux fields.
-  for (const AuxField& aux : rec.tags) {
-    out += aux.tag[0];
-    out += aux.tag[1];
-    switch (aux.type) {
-      case 'A':
-        out += 'A';
-        out += static_cast<char>(aux.int_value);
-        break;
-      case 'i':
-        // Always encoded as int32 ('i'); all integer widths decode back to
-        // SAM type 'i' anyway.
-        out += 'i';
-        binio::put_le<int32_t>(out, static_cast<int32_t>(aux.int_value));
-        break;
-      case 'f':
-        out += 'f';
-        binio::put_le<float>(out, static_cast<float>(aux.float_value));
-        break;
-      case 'Z':
-      case 'H':
-        out += aux.type;
-        out += aux.str_value;
-        out += '\0';
-        break;
-      case 'B': {
-        out += 'B';
-        out += aux.subtype;
-        size_t n = aux.subtype == 'f' ? aux.float_array.size()
-                                      : aux.int_array.size();
-        binio::put_le<int32_t>(out, static_cast<int32_t>(n));
-        for (size_t i = 0; i < n; ++i) {
-          switch (aux.subtype) {
-            case 'c':
-              binio::put_le<int8_t>(out,
-                                    static_cast<int8_t>(aux.int_array[i]));
-              break;
-            case 'C':
-              binio::put_le<uint8_t>(out,
-                                     static_cast<uint8_t>(aux.int_array[i]));
-              break;
-            case 's':
-              binio::put_le<int16_t>(out,
-                                     static_cast<int16_t>(aux.int_array[i]));
-              break;
-            case 'S':
-              binio::put_le<uint16_t>(
-                  out, static_cast<uint16_t>(aux.int_array[i]));
-              break;
-            case 'i':
-              binio::put_le<int32_t>(out,
-                                     static_cast<int32_t>(aux.int_array[i]));
-              break;
-            case 'I':
-              binio::put_le<uint32_t>(
-                  out, static_cast<uint32_t>(aux.int_array[i]));
-              break;
-            case 'f':
-              binio::put_le<float>(out,
-                                   static_cast<float>(aux.float_array[i]));
-              break;
-            default:
-              throw FormatError("unknown B subtype in encode");
-          }
-        }
-        break;
-      }
-      default:
-        throw FormatError(std::string("unknown aux type '") + aux.type +
-                          "' in encode");
-    }
-  }
+  size_t aux_at = out.size();
+  out.resize(aux_at + aux_encoded_size(rec.tags));
+  encode_aux(rec.tags, out.data() + aux_at);
 
   binio::poke_le<int32_t>(out, block_size_pos,
                           static_cast<int32_t>(out.size() - body_begin));
@@ -198,8 +407,11 @@ void decode_record(std::string_view body, AlignmentRecord& rec) {
         CigarOp{sam::cigar_op_char(packed & 0xF), packed >> 4});
   }
 
+  if (l_seq < 0) {
+    throw FormatError("negative BAM l_seq " + std::to_string(l_seq));
+  }
   std::string_view packed_seq =
-      r.read_bytes(static_cast<size_t>((l_seq + 1) / 2));
+      r.read_bytes((static_cast<size_t>(l_seq) + 1) / 2);
   seqcodec::unpack_seq(packed_seq.data(), static_cast<size_t>(l_seq),
                        rec.seq);
 
@@ -210,76 +422,7 @@ void decode_record(std::string_view body, AlignmentRecord& rec) {
   }
 
   // Aux fields to end of body.
-  rec.tags.clear();
-  while (!r.eof()) {
-    AuxField aux;
-    std::string_view tag = r.read_bytes(2);
-    aux.tag[0] = tag[0];
-    aux.tag[1] = tag[1];
-    char type = static_cast<char>(r.read<uint8_t>());
-    switch (type) {
-      case 'A':
-        aux.type = 'A';
-        aux.int_value = static_cast<char>(r.read<uint8_t>());
-        break;
-      case 'c':
-        aux.type = 'i';
-        aux.int_value = r.read<int8_t>();
-        break;
-      case 'C':
-        aux.type = 'i';
-        aux.int_value = r.read<uint8_t>();
-        break;
-      case 's':
-        aux.type = 'i';
-        aux.int_value = r.read<int16_t>();
-        break;
-      case 'S':
-        aux.type = 'i';
-        aux.int_value = r.read<uint16_t>();
-        break;
-      case 'i':
-        aux.type = 'i';
-        aux.int_value = r.read<int32_t>();
-        break;
-      case 'I':
-        aux.type = 'i';
-        aux.int_value = r.read<uint32_t>();
-        break;
-      case 'f':
-        aux.type = 'f';
-        aux.float_value = r.read<float>();
-        break;
-      case 'Z':
-      case 'H':
-        aux.type = type;
-        aux.str_value = std::string(r.read_cstr());
-        break;
-      case 'B': {
-        aux.type = 'B';
-        aux.subtype = static_cast<char>(r.read<uint8_t>());
-        int32_t n = r.read<int32_t>();
-        for (int32_t i = 0; i < n; ++i) {
-          switch (aux.subtype) {
-            case 'c': aux.int_array.push_back(r.read<int8_t>()); break;
-            case 'C': aux.int_array.push_back(r.read<uint8_t>()); break;
-            case 's': aux.int_array.push_back(r.read<int16_t>()); break;
-            case 'S': aux.int_array.push_back(r.read<uint16_t>()); break;
-            case 'i': aux.int_array.push_back(r.read<int32_t>()); break;
-            case 'I': aux.int_array.push_back(r.read<uint32_t>()); break;
-            case 'f': aux.float_array.push_back(r.read<float>()); break;
-            default:
-              throw FormatError("unknown B subtype in decode");
-          }
-        }
-        break;
-      }
-      default:
-        throw FormatError(std::string("unknown aux type byte '") + type +
-                          "' in decode");
-    }
-    rec.tags.push_back(std::move(aux));
-  }
+  decode_aux(body.substr(r.pos()), rec.tags);
 }
 
 // ------------------------------------------------------------------- header

@@ -36,6 +36,32 @@ void encode_record(const sam::AlignmentRecord& rec, std::string& out);
 /// block_size field) into `rec`.
 void decode_record(std::string_view body, sam::AlignmentRecord& rec);
 
+/// Size of `tags` in BAM aux encoding (every integer as 'i' int32), computed
+/// without encoding. Throws FormatError on an unknown type, and on an
+/// unknown B subtype that has elements.
+size_t aux_encoded_size(const std::vector<sam::AuxField>& tags);
+
+/// Encodes `tags` in BAM aux encoding at `dst`, which must hold
+/// aux_encoded_size(tags) bytes. Returns the end of the written bytes.
+/// BAMX records carry their aux section in this same encoding.
+char* encode_aux(const std::vector<sam::AuxField>& tags, char* dst);
+
+/// Decodes an aux section (BAM aux encoding) into `tags` (replaced).
+/// Integer types of every width decode to SAM type 'i'.
+void decode_aux(std::string_view bytes, std::vector<sam::AuxField>& tags);
+
+/// Walks the aux section `bytes` without decoding it, validating it as
+/// decode_aux does (throws FormatError wherever that would), and returns
+/// aux_encoded_size of the tags it decodes to.
+size_t scan_aux(std::string_view bytes);
+
+/// Writes at `dst` the bytes encode_aux(decode_aux(bytes)) would produce,
+/// without building the tags: integers widen to 'i' int32, floats pass
+/// through double, and a negative B count becomes an empty array.
+/// `bytes` must have passed scan_aux, whose result is the size written.
+/// Returns the end of the written bytes.
+char* normalize_aux(std::string_view bytes, char* dst);
+
 /// Serializes the BAM header section (magic, text, reference dictionary).
 void encode_header(const sam::SamHeader& header, std::string& out);
 

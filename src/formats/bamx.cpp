@@ -9,7 +9,6 @@
 namespace ngsx::bamx {
 
 using sam::AlignmentRecord;
-using sam::AuxField;
 using sam::SamHeader;
 
 // Fixed-width scalar prefix of every BAMX record (36 bytes):
@@ -36,88 +35,11 @@ constexpr std::string_view kBaixMagic{"BAIX\1", 5};
 constexpr std::string_view kManifestMagic{"BAMXM\1", 6};
 constexpr uint16_t kVersion = 1;
 
-// Encodes just the aux section of a record in BAM aux encoding by reusing
-// the BAM encoder on a stub record and slicing. Cheaper: encode directly.
-void encode_aux_fields(const std::vector<AuxField>& tags, std::string& out) {
-  // Reuse the BAM encoder's aux logic via a minimal record would drag in
-  // the whole record; duplicate the small aux branch here instead, keeping
-  // byte-compatibility with BAM aux encoding (bam::decode_record's parser
-  // is reused for decoding).
-  for (const AuxField& aux : tags) {
-    out += aux.tag[0];
-    out += aux.tag[1];
-    switch (aux.type) {
-      case 'A':
-        out += 'A';
-        out += static_cast<char>(aux.int_value);
-        break;
-      case 'i':
-        out += 'i';
-        binio::put_le<int32_t>(out, static_cast<int32_t>(aux.int_value));
-        break;
-      case 'f':
-        out += 'f';
-        binio::put_le<float>(out, static_cast<float>(aux.float_value));
-        break;
-      case 'Z':
-      case 'H':
-        out += aux.type;
-        out += aux.str_value;
-        out += '\0';
-        break;
-      case 'B': {
-        out += 'B';
-        out += aux.subtype;
-        size_t n = aux.subtype == 'f' ? aux.float_array.size()
-                                      : aux.int_array.size();
-        binio::put_le<int32_t>(out, static_cast<int32_t>(n));
-        for (size_t i = 0; i < n; ++i) {
-          switch (aux.subtype) {
-            case 'c':
-              binio::put_le<int8_t>(out,
-                                    static_cast<int8_t>(aux.int_array[i]));
-              break;
-            case 'C':
-              binio::put_le<uint8_t>(out,
-                                     static_cast<uint8_t>(aux.int_array[i]));
-              break;
-            case 's':
-              binio::put_le<int16_t>(out,
-                                     static_cast<int16_t>(aux.int_array[i]));
-              break;
-            case 'S':
-              binio::put_le<uint16_t>(
-                  out, static_cast<uint16_t>(aux.int_array[i]));
-              break;
-            case 'i':
-              binio::put_le<int32_t>(out,
-                                     static_cast<int32_t>(aux.int_array[i]));
-              break;
-            case 'I':
-              binio::put_le<uint32_t>(
-                  out, static_cast<uint32_t>(aux.int_array[i]));
-              break;
-            case 'f':
-              binio::put_le<float>(out,
-                                   static_cast<float>(aux.float_array[i]));
-              break;
-            default:
-              throw FormatError("unknown B subtype in BAMX aux encode");
-          }
-        }
-        break;
-      }
-      default:
-        throw FormatError(std::string("unknown aux type '") + aux.type +
-                          "' in BAMX aux encode");
-    }
-  }
-}
-
-size_t measure_aux_bytes(const std::vector<AuxField>& tags) {
-  std::string tmp;
-  encode_aux_fields(tags, tmp);
-  return tmp.size();
+/// True if a record with these section lengths fits `layout`.
+bool fits_lengths(const BamxLayout& layout, size_t qname, size_t cigar,
+                  size_t seq, size_t aux) {
+  return qname <= layout.max_qname && cigar <= layout.max_cigar &&
+         seq <= layout.max_seq && aux <= layout.max_aux;
 }
 
 }  // namespace
@@ -128,8 +50,15 @@ void BamxLayout::accommodate(const AlignmentRecord& rec) {
   max_qname = std::max(max_qname, static_cast<uint32_t>(rec.qname.size()));
   max_cigar = std::max(max_cigar, static_cast<uint32_t>(rec.cigar.size()));
   max_seq = std::max(max_seq, static_cast<uint32_t>(rec.seq.size()));
-  max_aux =
-      std::max(max_aux, static_cast<uint32_t>(measure_aux_bytes(rec.tags)));
+  max_aux = std::max(max_aux,
+                     static_cast<uint32_t>(bam::aux_encoded_size(rec.tags)));
+}
+
+void BamxLayout::accommodate(const BamRecordShape& shape) {
+  max_qname = std::max(max_qname, shape.qname_len);
+  max_cigar = std::max(max_cigar, shape.n_cigar);
+  max_seq = std::max(max_seq, shape.seq_len);
+  max_aux = std::max(max_aux, shape.aux_len);
 }
 
 void BamxLayout::merge(const BamxLayout& other) {
@@ -140,15 +69,17 @@ void BamxLayout::merge(const BamxLayout& other) {
 }
 
 bool BamxLayout::fits(const AlignmentRecord& rec) const {
-  return rec.qname.size() <= max_qname && rec.cigar.size() <= max_cigar &&
-         rec.seq.size() <= max_seq && measure_aux_bytes(rec.tags) <= max_aux;
+  return fits_lengths(*this, rec.qname.size(), rec.cigar.size(),
+                      rec.seq.size(), bam::aux_encoded_size(rec.tags));
 }
 
 // -------------------------------------------------------------------- encode
 
 void encode_record(const AlignmentRecord& rec, const BamxLayout& layout,
                    std::string& out) {
-  if (!layout.fits(rec)) {
+  const size_t aux_len = bam::aux_encoded_size(rec.tags);
+  if (!fits_lengths(layout, rec.qname.size(), rec.cigar.size(),
+                    rec.seq.size(), aux_len)) {
     throw UsageError("record '" + rec.qname + "' exceeds BAMX layout");
   }
   size_t base = out.size();
@@ -186,10 +117,96 @@ void encode_record(const AlignmentRecord& rec, const BamxLayout& layout,
     seqcodec::ascii_to_quals(rec.qual, qual);
   }
 
-  std::string aux;
-  encode_aux_fields(rec.tags, aux);
-  put(32, static_cast<uint32_t>(aux.size()));
-  std::memcpy(p + layout.aux_offset(), aux.data(), aux.size());
+  put(32, static_cast<uint32_t>(aux_len));
+  bam::encode_aux(rec.tags, p + layout.aux_offset());
+}
+
+// ---------------------------------------------------------------- transcode
+
+BamRecordShape scan_bam_record(std::string_view body) {
+  // Mirrors bam::decode_record's reads, so every truncation point and every
+  // rejected value throws FormatError here too.
+  ByteReader r(body);
+  BamRecordShape shape;
+  shape.ref_id = r.read<int32_t>();
+  shape.pos = r.read<int32_t>();
+  const uint32_t bin_mq_nl = r.read<uint32_t>();
+  const uint32_t flag_nc = r.read<uint32_t>();
+  const int32_t l_seq = r.read<int32_t>();
+  r.skip(12);  // mate_ref_id, mate_pos, tlen
+
+  std::string_view name = r.read_bytes(bin_mq_nl & 0xFF);
+  if (name.empty() || name.back() != '\0') {
+    throw FormatError("BAM read name not NUL-terminated");
+  }
+  shape.qname_len = static_cast<uint32_t>(name.size() - 1);
+
+  shape.n_cigar = flag_nc & 0xFFFF;
+  for (uint32_t i = 0; i < shape.n_cigar; ++i) {
+    sam::cigar_op_char(r.read<uint32_t>() & 0xF);  // validates the op code
+  }
+
+  if (l_seq < 0) {
+    throw FormatError("negative BAM l_seq " + std::to_string(l_seq));
+  }
+  shape.seq_len = static_cast<uint32_t>(l_seq);
+  r.read_bytes((static_cast<size_t>(shape.seq_len) + 1) / 2);
+  r.read_bytes(shape.seq_len);
+
+  shape.aux_len = static_cast<uint32_t>(bam::scan_aux(body.substr(r.pos())));
+  return shape;
+}
+
+void transcode_bam_record(std::string_view body, const BamRecordShape& shape,
+                          const BamxLayout& layout, std::string& out) {
+  if (!fits_lengths(layout, shape.qname_len, shape.n_cigar, shape.seq_len,
+                    shape.aux_len)) {
+    throw UsageError("BAM record exceeds BAMX layout");
+  }
+  size_t base = out.size();
+  out.resize(base + layout.stride(), '\0');
+  char* p = out.data() + base;
+  const char* b = body.data();
+
+  auto put = [&](size_t off, auto v) { std::memcpy(p + off, &v, sizeof(v)); };
+
+  // Scalar prefix: the BAM fixed fields, rearranged.
+  uint32_t bin_mq_nl;
+  uint32_t flag_nc;
+  std::memcpy(&bin_mq_nl, b + 8, 4);
+  std::memcpy(&flag_nc, b + 12, 4);
+  std::memcpy(p, b, 8);  // ref_id, pos
+  put(8, static_cast<uint16_t>(flag_nc >> 16));
+  p[10] = static_cast<char>((bin_mq_nl >> 8) & 0xFF);
+  std::memcpy(p + 12, b + 20, 12);  // mate_ref_id, mate_pos, tlen
+  put(24, static_cast<uint16_t>(shape.qname_len));
+  put(26, static_cast<uint16_t>(shape.n_cigar));
+  put(28, shape.seq_len);
+  put(32, shape.aux_len);
+
+  // Variable sections: copies, except where the round trip through an
+  // AlignmentRecord would normalize the bytes.
+  const char* in = b + 32;
+  std::memcpy(p + layout.qname_offset(), in, shape.qname_len);
+  in += shape.qname_len + 1;  // and the NUL
+  std::memcpy(p + layout.cigar_offset(), in, 4ull * shape.n_cigar);
+  in += 4ull * shape.n_cigar;
+  const size_t seq_bytes = (static_cast<size_t>(shape.seq_len) + 1) / 2;
+  char* seq = p + layout.seq_offset();
+  std::memcpy(seq, in, seq_bytes);
+  if (shape.seq_len % 2 == 1) {
+    seq[seq_bytes - 1] &= static_cast<char>(0xF0);  // zero the pad nibble
+  }
+  in += seq_bytes;
+  char* qual = p + layout.qual_offset();
+  if (shape.seq_len > 0 && static_cast<uint8_t>(in[0]) == 0xFF) {
+    std::memset(qual, 0xFF, shape.seq_len);  // absent qualities
+  } else {
+    std::memcpy(qual, in, shape.seq_len);
+  }
+  in += shape.seq_len;
+  bam::normalize_aux(body.substr(static_cast<size_t>(in - b)),
+                     p + layout.aux_offset());
 }
 
 void restride_record(std::string_view src, const BamxLayout& from,
@@ -269,63 +286,8 @@ void decode_record(std::string_view body, const BamxLayout& layout,
     seqcodec::quals_to_ascii(qual, seq_len, rec.qual);
   }
 
-  // Aux bytes use BAM aux encoding; reuse the BAM decoder by framing a
-  // minimal record? The aux parser is embedded in bam::decode_record, so we
-  // parse here with the same rules via a small local loop.
-  rec.tags.clear();
-  std::string_view aux_bytes(p + layout.aux_offset(), aux_len);
-  ByteReader r(aux_bytes);
-  while (!r.eof()) {
-    AuxField aux;
-    std::string_view tag = r.read_bytes(2);
-    aux.tag[0] = tag[0];
-    aux.tag[1] = tag[1];
-    char type = static_cast<char>(r.read<uint8_t>());
-    switch (type) {
-      case 'A':
-        aux.type = 'A';
-        aux.int_value = static_cast<char>(r.read<uint8_t>());
-        break;
-      case 'c': aux.type = 'i'; aux.int_value = r.read<int8_t>(); break;
-      case 'C': aux.type = 'i'; aux.int_value = r.read<uint8_t>(); break;
-      case 's': aux.type = 'i'; aux.int_value = r.read<int16_t>(); break;
-      case 'S': aux.type = 'i'; aux.int_value = r.read<uint16_t>(); break;
-      case 'i': aux.type = 'i'; aux.int_value = r.read<int32_t>(); break;
-      case 'I': aux.type = 'i'; aux.int_value = r.read<uint32_t>(); break;
-      case 'f':
-        aux.type = 'f';
-        aux.float_value = r.read<float>();
-        break;
-      case 'Z':
-      case 'H':
-        aux.type = type;
-        aux.str_value = std::string(r.read_cstr());
-        break;
-      case 'B': {
-        aux.type = 'B';
-        aux.subtype = static_cast<char>(r.read<uint8_t>());
-        int32_t n = r.read<int32_t>();
-        for (int32_t i = 0; i < n; ++i) {
-          switch (aux.subtype) {
-            case 'c': aux.int_array.push_back(r.read<int8_t>()); break;
-            case 'C': aux.int_array.push_back(r.read<uint8_t>()); break;
-            case 's': aux.int_array.push_back(r.read<int16_t>()); break;
-            case 'S': aux.int_array.push_back(r.read<uint16_t>()); break;
-            case 'i': aux.int_array.push_back(r.read<int32_t>()); break;
-            case 'I': aux.int_array.push_back(r.read<uint32_t>()); break;
-            case 'f': aux.float_array.push_back(r.read<float>()); break;
-            default:
-              throw FormatError("unknown B subtype in BAMX aux decode");
-          }
-        }
-        break;
-      }
-      default:
-        throw FormatError(std::string("unknown aux type byte in BAMX: '") +
-                          type + "'");
-    }
-    rec.tags.push_back(std::move(aux));
-  }
+  bam::decode_aux(std::string_view(p + layout.aux_offset(), aux_len),
+                  rec.tags);
 }
 
 std::pair<int32_t, int32_t> peek_ref_pos(std::string_view body) {

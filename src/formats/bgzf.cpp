@@ -157,7 +157,8 @@ size_t peek_block_size(std::string_view data) {
 
 // ----------------------------------------------------------------- Inflater
 
-Inflater::Inflater(Backend backend) : codec_(make_codec(backend)) {}
+Inflater::Inflater(Backend backend)
+    : codec_(make_codec(resolve_inflate_backend(backend))) {}
 
 Inflater::~Inflater() = default;
 

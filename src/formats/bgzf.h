@@ -88,7 +88,9 @@ class Deflater {
 
 /// Reusable BGZF block decompressor: one raw-deflate codec recycled
 /// across blocks (the sequential and parallel readers both hold
-/// long-lived instances). Not thread-safe.
+/// long-lived instances). Not thread-safe. Backend::kAuto resolves with
+/// resolve_inflate_backend: libdeflate when it loads, unless
+/// NGSX_BGZF_BACKEND says otherwise.
 class Inflater {
  public:
   explicit Inflater(Backend backend = Backend::kAuto);

@@ -241,6 +241,22 @@ bool libdeflate_loaded() {
 #endif
 }
 
+/// kAuto resolved against NGSX_BGZF_BACKEND; `fallback` when the variable
+/// is unset or names no backend. Then degrades an unavailable libdeflate.
+Backend resolve(Backend backend, Backend fallback) {
+  if (backend == Backend::kAuto) {
+    const char* env = std::getenv("NGSX_BGZF_BACKEND");
+    const std::string_view name = env != nullptr ? env : "";
+    backend = name == "zlib"         ? Backend::kZlib
+              : name == "libdeflate" ? Backend::kLibdeflate
+                                     : fallback;
+  }
+  if (backend == Backend::kLibdeflate && !libdeflate_loaded()) {
+    backend = Backend::kZlib;  // documented graceful degradation
+  }
+  return backend;
+}
+
 }  // namespace
 
 bool backend_available(Backend backend) {
@@ -255,18 +271,11 @@ bool backend_available(Backend backend) {
 }
 
 Backend resolve_backend(Backend backend) {
-  if (backend == Backend::kAuto) {
-    const char* env = std::getenv("NGSX_BGZF_BACKEND");
-    if (env != nullptr && std::string_view(env) == "libdeflate") {
-      backend = Backend::kLibdeflate;
-    } else {
-      backend = Backend::kZlib;
-    }
-  }
-  if (backend == Backend::kLibdeflate && !libdeflate_loaded()) {
-    backend = Backend::kZlib;  // documented graceful degradation
-  }
-  return backend;
+  return resolve(backend, Backend::kZlib);
+}
+
+Backend resolve_inflate_backend(Backend backend) {
+  return resolve(backend, Backend::kLibdeflate);
 }
 
 const char* backend_name(Backend backend) {

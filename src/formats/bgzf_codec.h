@@ -6,16 +6,20 @@
 // faster deflate implementation lifts all of them at once.
 //
 // Backends:
-//   - kZlib: always present, and the default. BGZF output stays
-//     byte-identical to the pre-seam code paths (deflate is deterministic
-//     for fixed parameters), which is the repo's byte-identity contract.
+//   - kZlib: always present. Every BGZF byte ngsx writes comes from it by
+//     default, byte-identical to the pre-seam code paths (deflate is
+//     deterministic for fixed parameters): the repo's byte-identity
+//     contract.
 //   - kLibdeflate: a libdeflate-class whole-buffer codec, loaded from the
 //     system's libdeflate shared library at runtime when present (no
 //     build-time dependency; compiled out entirely with
-//     -DNGSX_ENABLE_LIBDEFLATE=OFF). Decompression is byte-identical by
-//     construction; compression produces different — still spec-valid —
-//     BGZF bytes, so it is opt-in via NGSX_BGZF_BACKEND=libdeflate or an
-//     explicit Backend argument, never the silent default.
+//     -DNGSX_ENABLE_LIBDEFLATE=OFF).
+//
+// The default is split by direction. Inflation is byte-identical by
+// construction, so Inflater prefers libdeflate whenever it loads.
+// Compression produces different (still spec-valid) BGZF bytes, so
+// Deflater stays on zlib. NGSX_BGZF_BACKEND=zlib|libdeflate forces both
+// directions; an explicit Backend argument forces one codec.
 //
 // docs/PERF.md describes the selection rules and the byte-identity
 // contract in full.
@@ -31,7 +35,7 @@
 namespace ngsx::bgzf {
 
 enum class Backend {
-  kAuto = 0,    // NGSX_BGZF_BACKEND env var, else zlib
+  kAuto = 0,    // NGSX_BGZF_BACKEND env var, else the direction's default
   kZlib,
   kLibdeflate,  // only if the shared library can be loaded
 };
@@ -64,14 +68,20 @@ class Codec {
 /// kLibdeflate only when the shared library loaded; kAuto always).
 bool backend_available(Backend backend);
 
-/// Resolves kAuto against NGSX_BGZF_BACKEND ("zlib" or "libdeflate").
-/// An unavailable or unknown request falls back to zlib, so setting the
-/// env var on a machine without libdeflate degrades instead of failing.
+/// Resolves a deflate-side backend: kAuto against NGSX_BGZF_BACKEND
+/// ("zlib" or "libdeflate"), else zlib. An unavailable or unknown request
+/// falls back to zlib, so setting the env var on a machine without
+/// libdeflate degrades instead of failing.
 Backend resolve_backend(Backend backend);
+
+/// Resolves an inflate-side backend: like resolve_backend, except that
+/// kAuto without a recognized NGSX_BGZF_BACKEND prefers libdeflate (still
+/// zlib when libdeflate cannot be loaded).
+Backend resolve_inflate_backend(Backend backend);
 
 const char* backend_name(Backend backend);
 
-/// Creates a fresh codec for `backend` (resolved first if kAuto).
+/// Creates a fresh codec for `backend` (kAuto resolves as resolve_backend).
 std::unique_ptr<Codec> make_codec(Backend backend = Backend::kAuto);
 
 }  // namespace ngsx::bgzf

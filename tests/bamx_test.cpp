@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
+#include "formats/bam.h"
 #include "formats/bamx.h"
 #include "simdata/readsim.h"
+#include "util/binio.h"
+#include "util/rng.h"
 #include "util/tempdir.h"
 
 namespace ngsx::bamx {
@@ -134,6 +138,356 @@ TEST(BamxRecord, UnmappedRoundTrip) {
   AlignmentRecord back;
   decode_record(buf, layout, back);
   EXPECT_EQ(back, rec);
+}
+
+// ------------------------------------------------- BAM -> BAMX transcoding
+
+/// A BAM record body (no block_size) assembled field by field, so a test
+/// can spell encodings bam::encode_record never writes: narrow integer
+/// types, a non-zero pad nibble, NaN payloads, or outright malformed
+/// fields. `l_seq` is written as given, independent of `seq`/`qual`.
+struct BamBody {
+  int32_t ref_id = 0;
+  int32_t pos = 100;
+  uint16_t bin = 4681;
+  uint8_t mapq = 30;
+  uint16_t flag = sam::kPaired;
+  std::string qname = "r1";  // without its NUL
+  std::vector<uint32_t> cigar{(4u << 4) | 0};
+  int32_t l_seq = 4;
+  std::string seq{"\x12\x48", 2};  // packed, (l_seq + 1) / 2 bytes
+  std::string qual{"\x1e\x1f\x20\x21", 4};
+  int32_t mate_ref_id = -1;
+  int32_t mate_pos = -1;
+  int32_t tlen = 0;
+  std::string aux;  // raw aux bytes
+
+  std::string bytes() const {
+    std::string out;
+    binio::put_le<int32_t>(out, ref_id);
+    binio::put_le<int32_t>(out, pos);
+    binio::put_le<uint32_t>(out, (uint32_t{bin} << 16) | (uint32_t{mapq} << 8) |
+                                     static_cast<uint32_t>(qname.size() + 1));
+    binio::put_le<uint32_t>(out, (uint32_t{flag} << 16) |
+                                     static_cast<uint32_t>(cigar.size()));
+    binio::put_le<int32_t>(out, l_seq);
+    binio::put_le<int32_t>(out, mate_ref_id);
+    binio::put_le<int32_t>(out, mate_pos);
+    binio::put_le<int32_t>(out, tlen);
+    out += qname;
+    out += '\0';
+    for (uint32_t op : cigar) {
+      binio::put_le<uint32_t>(out, op);
+    }
+    return out + seq + qual + aux;
+  }
+};
+
+/// One aux field: tag, type byte, then the little-endian value.
+template <typename T>
+std::string aux_field(std::string_view tag, char type, T value) {
+  std::string out(tag);
+  out += type;
+  binio::put_le<T>(out, value);
+  return out;
+}
+
+std::string aux_string(std::string_view tag, char type, std::string_view s) {
+  return std::string(tag) + type + std::string(s) + '\0';
+}
+
+/// A B array: subtype, count, then `elements` (already encoded).
+std::string aux_array(std::string_view tag, char subtype, int32_t count,
+                      std::string_view elements) {
+  std::string out(tag);
+  out += 'B';
+  out += subtype;
+  binio::put_le<int32_t>(out, count);
+  return out + std::string(elements);
+}
+
+float float_bits(uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+/// Random bytes, each from [lo, hi].
+std::string random_bytes(Rng& rng, size_t n, int lo = 0, int hi = 255) {
+  std::string out(n, '\0');
+  for (char& c : out) {
+    c = static_cast<char>(rng.range(lo, hi));
+  }
+  return out;
+}
+
+/// A random float: NaNs (signaling and quiet, random payloads) and
+/// infinities half the time, arbitrary bit patterns otherwise.
+float random_float(Rng& rng) {
+  const uint32_t payload = static_cast<uint32_t>(rng.below(1u << 22)) | 1u;
+  const uint32_t sign = rng.chance(0.5) ? 0x80000000u : 0u;
+  switch (rng.below(4)) {
+    case 0: return float_bits(sign | 0x7F800000u | payload);  // signaling
+    case 1: return float_bits(sign | 0x7FC00000u | payload);  // quiet
+    default: return float_bits(static_cast<uint32_t>(rng.next()));
+  }
+}
+
+/// One random aux field of `type` (and `subtype`, for 'B').
+std::string random_aux_field(Rng& rng, char type, char subtype) {
+  const std::string tag = random_bytes(rng, 2, 'A', 'Z');
+  switch (type) {
+    case 'A': return aux_field(tag, 'A', static_cast<uint8_t>(rng.next()));
+    case 'c': return aux_field(tag, 'c', static_cast<int8_t>(rng.next()));
+    case 'C': return aux_field(tag, 'C', static_cast<uint8_t>(rng.next()));
+    case 's': return aux_field(tag, 's', static_cast<int16_t>(rng.next()));
+    case 'S': return aux_field(tag, 'S', static_cast<uint16_t>(rng.next()));
+    case 'i': return aux_field(tag, 'i', static_cast<int32_t>(rng.next()));
+    case 'I':  // above INT32_MAX half the time
+      return aux_field(tag, 'I', static_cast<uint32_t>(rng.next()));
+    case 'f': return aux_field(tag, 'f', random_float(rng));
+    case 'Z':
+      return aux_string(tag, 'Z', random_bytes(rng, rng.below(20), 32, 126));
+    case 'H':
+      return aux_string(tag, 'H', random_bytes(rng, rng.below(20), '0', '9'));
+    default: {  // 'B'
+      const int32_t n = static_cast<int32_t>(rng.below(9));
+      std::string elements;
+      for (int32_t i = 0; i < n; ++i) {
+        if (subtype == 'f') {
+          binio::put_le<float>(elements, random_float(rng));
+        } else {
+          static constexpr std::string_view kSubtypes = "cCsSiI";
+          static constexpr size_t kWidths[] = {1, 1, 2, 2, 4, 4};
+          elements += random_bytes(rng, kWidths[kSubtypes.find(subtype)]);
+        }
+      }
+      return aux_array(tag, subtype, n, elements);
+    }
+  }
+}
+
+/// A random valid body. Record `i` is guaranteed to carry aux type
+/// kAuxTypes[i % 11] and B subtype kBSubtypes[i % 7], so a run of 77
+/// records covers every pair; the rest is drawn at random, including
+/// l_seq 0, n_cigar 0, odd l_seq with a non-zero pad nibble, 0xFF-led
+/// quals with a non-0xFF tail, and a qname with an interior NUL.
+constexpr std::string_view kAuxTypes = "AcCsSiIfZHB";
+constexpr std::string_view kBSubtypes = "cCsSiIf";
+
+BamBody random_body(Rng& rng, size_t i) {
+  BamBody b;
+  b.ref_id = static_cast<int32_t>(rng.range(-1, 3));
+  b.pos = static_cast<int32_t>(rng.range(-1, 1 << 30));
+  b.bin = static_cast<uint16_t>(rng.next());
+  b.mapq = static_cast<uint8_t>(rng.next());
+  b.flag = static_cast<uint16_t>(rng.next());
+  b.qname = random_bytes(rng, 1 + rng.below(60), 1, 255);
+  if (rng.chance(0.2)) {
+    b.qname[rng.below(b.qname.size())] = '\0';
+  }
+  b.cigar.clear();
+  const size_t n_cigar = rng.chance(0.2) ? 0 : 1 + rng.below(10);
+  for (size_t k = 0; k < n_cigar; ++k) {
+    b.cigar.push_back(static_cast<uint32_t>(rng.below(1u << 28)) << 4 |
+                      static_cast<uint32_t>(rng.below(9)));
+  }
+  b.l_seq = rng.chance(0.15) ? 0 : static_cast<int32_t>(1 + rng.below(160));
+  b.seq = random_bytes(rng, (static_cast<size_t>(b.l_seq) + 1) / 2);
+  b.qual = random_bytes(rng, static_cast<size_t>(b.l_seq));
+  if (b.l_seq > 0 && rng.chance(0.3)) {
+    b.qual[0] = static_cast<char>(0xFF);  // absent, with a non-0xFF tail
+  }
+  b.mate_ref_id = static_cast<int32_t>(rng.range(-1, 3));
+  b.mate_pos = static_cast<int32_t>(rng.next());
+  b.tlen = static_cast<int32_t>(rng.next());
+  b.aux = random_aux_field(rng, kAuxTypes[i % kAuxTypes.size()],
+                           kBSubtypes[i % kBSubtypes.size()]);
+  for (size_t k = rng.below(6); k > 0; --k) {
+    b.aux += random_aux_field(rng, kAuxTypes[rng.below(kAuxTypes.size())],
+                              kBSubtypes[rng.below(kBSubtypes.size())]);
+  }
+  return b;
+}
+
+/// The transcoder against its definition: scan + accommodate must give the
+/// layout decode + accommodate gives, and transcode the bytes encode gives,
+/// both under the record's own layout and under a padded one.
+void expect_transcodes_like_round_trip(const std::string& body) {
+  AlignmentRecord rec;
+  bam::decode_record(body, rec);
+  BamxLayout want_layout;
+  want_layout.accommodate(rec);
+
+  const BamRecordShape shape = scan_bam_record(body);
+  BamxLayout layout;
+  layout.accommodate(shape);
+  ASSERT_EQ(layout, want_layout);
+  EXPECT_EQ(shape.ref_id, rec.ref_id);
+  EXPECT_EQ(shape.pos, rec.pos);
+
+  BamxLayout padded = layout;
+  padded.max_qname += 5;
+  padded.max_cigar += 2;
+  padded.max_seq += 7;
+  padded.max_aux += 11;
+  for (const BamxLayout& l : {layout, padded}) {
+    std::string want;
+    encode_record(rec, l, want);
+    std::string got = "prefix";  // transcoding appends
+    transcode_bam_record(body, shape, l, got);
+    EXPECT_EQ(got, "prefix" + want);
+  }
+}
+
+/// Whether a path accepts `body`; anything but FormatError fails the test.
+template <typename Fn>
+bool accepts(Fn&& fn) {
+  try {
+    fn();
+    return true;
+  } catch (const FormatError&) {
+    return false;
+  }
+}
+
+bool decode_accepts(const std::string& body) {
+  AlignmentRecord rec;
+  return accepts([&] { bam::decode_record(body, rec); });
+}
+
+bool scan_accepts(const std::string& body) {
+  return accepts([&] { scan_bam_record(body); });
+}
+
+TEST(BamxTranscode, RandomBodiesMatchDecodeEncode) {
+  Rng rng(20141);
+  for (size_t i = 0; i < 2000; ++i) {
+    SCOPED_TRACE("body " + std::to_string(i));
+    expect_transcodes_like_round_trip(random_body(rng, i).bytes());
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(BamxTranscode, EdgeShapesMatchDecodeEncode) {
+  std::vector<BamBody> bodies(8);
+  bodies[0].l_seq = 0;  // no bases, no cigar
+  bodies[0].seq.clear();
+  bodies[0].qual.clear();
+  bodies[0].cigar.clear();
+  bodies[1].l_seq = 3;  // odd, with a non-zero pad nibble
+  bodies[1].seq = "\x12\x4F";
+  bodies[1].qual = "\x05\x06\x07";
+  bodies[2].qual = "\xFF\x01\x02\x03";  // absent quals, non-0xFF tail
+  bodies[3].qname = std::string("ab\0cd", 5);  // interior NUL
+  bodies[4].aux = aux_field("XI", 'I', uint32_t{0xFFFFFFF0u}) +
+                  aux_field("XJ", 'I', uint32_t{0x80000000u});
+  bodies[5].aux = aux_field("XF", 'f', float_bits(0x7F800001u)) +  // sNaN
+                  aux_field("XG", 'f', float_bits(0xFFC12345u)) +  // qNaN
+                  aux_field("XH", 'f', float_bits(0x00000001u));   // denormal
+  bodies[6].aux = aux_array("XB", 'f', 2, [] {
+    std::string e;
+    binio::put_le<float>(e, float_bits(0x7FA00000u));
+    binio::put_le<float>(e, 1.5f);
+    return e;
+  }());
+  bodies[7].aux = aux_field("Xc", 'c', int8_t{-128}) +
+                  aux_field("XC", 'C', uint8_t{255}) +
+                  aux_field("Xs", 's', int16_t{-32768}) +
+                  aux_field("XS", 'S', uint16_t{65535}) +
+                  aux_field("XA", 'A', uint8_t{0xE9}) +
+                  aux_string("XZ", 'Z', "") + aux_string("XH", 'H', "1AE301");
+  for (size_t i = 0; i < bodies.size(); ++i) {
+    SCOPED_TRACE("body " + std::to_string(i));
+    expect_transcodes_like_round_trip(bodies[i].bytes());
+  }
+}
+
+TEST(BamxTranscode, EveryTruncationBehavesLikeDecode) {
+  // Cutting a body short is an error, except exactly at an aux field
+  // boundary, where what is left is a valid record with fewer fields.
+  Rng rng(7);
+  for (size_t i = 0; i < 30; ++i) {
+    BamBody b = random_body(rng, i);
+    b.aux += random_aux_field(rng, 'B', 's');
+    const std::string body = b.bytes();
+    const size_t aux_at = body.size() - b.aux.size();
+    for (size_t n = 0; n < body.size(); ++n) {
+      SCOPED_TRACE("body " + std::to_string(i) + " cut at " +
+                   std::to_string(n));
+      const std::string cut = body.substr(0, n);
+      const bool ok = decode_accepts(cut);
+      ASSERT_EQ(scan_accepts(cut), ok);
+      if (n < aux_at) {
+        EXPECT_FALSE(ok);
+      }
+      if (ok) {
+        expect_transcodes_like_round_trip(cut);
+      }
+    }
+  }
+}
+
+TEST(BamxTranscode, MalformedBodiesRejectedByBothPaths) {
+  std::vector<std::pair<std::string, std::string>> cases;
+  for (uint32_t op = 9; op < 16; ++op) {
+    BamBody b;
+    b.cigar.push_back((3u << 4) | op);
+    cases.emplace_back("cigar op " + std::to_string(op), b.bytes());
+  }
+  BamBody b;
+  b.aux = "XZZabc";
+  cases.emplace_back("unterminated Z", b.bytes());
+  b.aux = aux_array("XB", 'q', 1, "") + aux_field("NM", 'i', 1);
+  cases.emplace_back("unknown B subtype, count 1", b.bytes());
+  b.aux = "XXq\x01";
+  cases.emplace_back("unknown aux type", b.bytes());
+  b.aux.clear();
+  b.l_seq = -1;
+  cases.emplace_back("negative l_seq", b.bytes());
+  std::string no_name = BamBody{}.bytes();
+  no_name[8] = 0;          // l_read_name 0: the name has no NUL at all
+  no_name.erase(32, 3);    // drop "r1\0"
+  cases.emplace_back("read name without NUL", no_name);
+  for (const auto& [what, body] : cases) {
+    SCOPED_TRACE(what);
+    EXPECT_FALSE(decode_accepts(body));
+    EXPECT_FALSE(scan_accepts(body));
+  }
+}
+
+TEST(BamxTranscode, DecodeQuirksArePreserved) {
+  // A negative B count decodes as an empty array, which re-encodes with
+  // count 0; an unknown B subtype is only rejected once there is an
+  // element to read. The transcoder must keep both quirks.
+  BamBody negative;
+  negative.aux = aux_array("XB", 'i', -3, "") + aux_field("NM", 'i', 2);
+  BamBody unknown_empty;
+  unknown_empty.aux = aux_array("XB", 'q', 0, "");
+  for (const BamBody& b : {negative, unknown_empty}) {
+    const std::string body = b.bytes();
+    ASSERT_TRUE(decode_accepts(body));
+    expect_transcodes_like_round_trip(body);
+  }
+  const BamRecordShape shape = scan_bam_record(negative.bytes());
+  BamxLayout layout;
+  layout.accommodate(shape);
+  std::string out;
+  transcode_bam_record(negative.bytes(), shape, layout, out);
+  EXPECT_EQ(out.substr(layout.aux_offset(), shape.aux_len),
+            aux_array("XB", 'i', 0, "") + aux_field("NM", 'i', 2));
+}
+
+TEST(BamxTranscode, RejectsLayoutTooSmall) {
+  const std::string body = BamBody{}.bytes();
+  const BamRecordShape shape = scan_bam_record(body);
+  BamxLayout layout;
+  layout.accommodate(shape);
+  layout.max_seq -= 1;
+  std::string out;
+  EXPECT_THROW(transcode_bam_record(body, shape, layout, out), UsageError);
 }
 
 // -------------------------------------------------------------- file layer

@@ -1,7 +1,7 @@
 // Tests for the pluggable BGZF raw-deflate backend (formats/bgzf_codec.h)
 // and the bgzf::crc32 seam. The byte-identity contract under test: with
-// the default zlib backend, every BGZF block written through the codec
-// seam is bit-for-bit what the pre-seam code produced; the libdeflate
+// the default (zlib) deflate backend, every BGZF block written through the
+// codec seam is bit-for-bit what the pre-seam code produced; the libdeflate
 // backend (when its shared library is loadable) produces different but
 // spec-valid blocks that the default reader decodes to the same payload.
 
@@ -108,6 +108,33 @@ TEST(BgzfCodec, EnvSelectsBackend) {
   }
 }
 
+TEST(BgzfCodec, DefaultSplitsByDirection) {
+  // Inflation is byte-identical on every backend, so its default prefers
+  // libdeflate; deflate stays on zlib so written bytes never change. The
+  // env var forces both directions; an unknown value leaves the defaults.
+  const char* fast = backend_available(Backend::kLibdeflate) ? "libdeflate"
+                                                             : "zlib";
+  for (const char* env : {static_cast<const char*>(nullptr), "banana"}) {
+    EnvGuard guard(env);
+    EXPECT_STREQ(Inflater().backend(), fast);
+    EXPECT_STREQ(Deflater().backend(), "zlib");
+    EXPECT_STREQ(backend_name(resolve_inflate_backend(Backend::kAuto)), fast);
+    EXPECT_EQ(resolve_backend(Backend::kAuto), Backend::kZlib);
+  }
+  {
+    EnvGuard guard("zlib");
+    EXPECT_STREQ(Inflater().backend(), "zlib");
+    EXPECT_STREQ(Deflater().backend(), "zlib");
+    // An explicit backend still beats the env var.
+    EXPECT_STREQ(Inflater(Backend::kLibdeflate).backend(), fast);
+  }
+  {
+    EnvGuard guard("libdeflate");
+    EXPECT_STREQ(Inflater().backend(), fast);
+    EXPECT_STREQ(Deflater().backend(), fast);
+  }
+}
+
 TEST(BgzfCodec, ZlibRoundTripAndErrorPaths) {
   auto codec = make_codec(Backend::kZlib);
   ASSERT_STREQ(codec->name(), "zlib");
@@ -173,7 +200,7 @@ TEST(BgzfCodec, InflaterDecodesBothBackendsBlocks) {
     std::string block;
     Deflater d(6, backend);
     d.compress(input, block);
-    // Default (zlib) Inflater must decode blocks from either backend.
+    // The default Inflater must decode blocks from either backend.
     std::string out;
     Inflater inf;
     EXPECT_EQ(inf.decompress(block, out), input.size());
