@@ -75,7 +75,9 @@ int usage(const char* prog) {
                "drop-dups (streaming duplicate marking). --collate-mem N\n"
                "caps in-memory records before spilling, --temp-dir DIR\n"
                "redirects spill runs, --no-orphans drops orphaned mates\n"
-               "from FASTQ export\n",
+               "from FASTQ export; --threads T is the collation width:\n"
+               "record-parse workers and BGZF deflate workers for spill\n"
+               "runs and BAM output (0 = auto)\n",
                prog);
   return 2;
 }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "exec/pipeline.h"
@@ -59,10 +58,17 @@ void mirror_metrics(const CollateStats& s) {
   m.dups_marked.add(s.dup_records);
 }
 
+/// The collation width: parse_threads with 0 resolved to the hardware.
+int collate_width(const CollateOptions& options) {
+  return options.parse_threads == 0 ? exec::hardware_threads()
+                                    : std::max(1, options.parse_threads);
+}
+
 SortOptions to_sort_options(const CollateOptions& options) {
   SortOptions out;
   out.max_records_in_memory = options.max_records_in_memory;
   out.compression_level = options.compression_level;
+  out.threads = collate_width(options);
   out.temp_dir = options.temp_dir;
   return out;
 }
@@ -236,11 +242,8 @@ SamHeader read_header(const std::string& path) {
 
 void for_each_record(const std::string& path, const CollateOptions& options,
                      const std::function<void(AlignmentRecord&&)>& fn) {
-  int workers =
-      options.parse_threads == 0
-          ? std::max(1, static_cast<int>(std::thread::hardware_concurrency()))
-          : options.parse_threads;
-  if (workers <= 1 || !strutil::ends_with(path, ".bam")) {
+  const int workers = collate_width(options);
+  if (workers == 1 || !strutil::ends_with(path, ".bam")) {
     AlignmentInput in(path, options.decode_threads);
     AlignmentRecord rec;
     while (in.next(rec)) {
@@ -404,7 +407,8 @@ CollateStats collate_to_bam(const std::string& in_path,
                   [&](AlignmentRecord&& rec) { sorter.push(std::move(rec)); });
   stats.records = sorter.total();
 
-  bam::BamFileWriter writer(out_bam, header, options.compression_level);
+  bam::BamFileWriter writer(out_bam, header, options.compression_level,
+                            collate_width(options));
   drain_groups(sorter, [&](std::vector<AlignmentRecord>&& group) {
     auto [r1, r2] = primary_pair(group);
     if (r1 != nullptr) {
@@ -534,7 +538,8 @@ CollateStats mark_duplicates(const std::string& in_path,
     sorter.push(std::move(rec));
   });
 
-  bam::BamFileWriter writer(out_bam, header, options.compression_level);
+  bam::BamFileWriter writer(out_bam, header, options.compression_level,
+                            collate_width(options));
   drain_groups(sorter, [&](std::vector<AlignmentRecord>&& group) {
     bool duplicate = false;
     auto [r1, r2] = primary_pair(group);

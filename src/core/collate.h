@@ -65,9 +65,11 @@ struct CollateOptions {
   /// BGZF inflate threads for BAM input (0 = auto, 1 = sequential).
   int decode_threads = 1;
 
-  /// Record-decode workers: BAM record bodies are parsed on an
-  /// exec::ordered_pipeline when > 1 (0 = auto = hardware width). The
-  /// consumer always sees records strictly in file order.
+  /// The collation width (0 = auto = hardware width). Record decode: BAM
+  /// record bodies are parsed on an exec::ordered_pipeline when > 1, and
+  /// the consumer always sees records strictly in file order. Compression:
+  /// spill runs and BAM outputs are deflated on this many workers
+  /// (SortOptions::threads). Neither changes a byte of output.
   int parse_threads = 1;
 
   /// Raw record bodies per parse-pipeline batch.

@@ -134,12 +134,14 @@ void ExternalSorter::flush_run() {
   spill_stage_.submit([this, run_path = std::move(run_path),
                        records = std::move(spill_buffer)]() mutable {
     std::stable_sort(records.begin(), records.end(), less_);
-    bam::BamFileWriter writer(run_path, header_, options_.compression_level);
+    bam::BamFileWriter writer(run_path, header_, options_.compression_level,
+                              options_.threads, OutputFile::Commit::kDirect);
     for (const auto& rec : records) {
       writer.write(rec);
     }
     writer.close();
-    spilled_bytes_.fetch_add(file_size(run_path), std::memory_order_relaxed);
+    spilled_bytes_.fetch_add(writer.compressed_bytes(),
+                             std::memory_order_relaxed);
   });
 }
 
@@ -230,7 +232,7 @@ uint64_t sort_file(const std::string& in_path, const std::string& out_bam,
   }
   uint64_t written = 0;
   bam::BamFileWriter writer(out_bam, source.header(),
-                            options.compression_level);
+                            options.compression_level, options.threads);
   sorter.drain([&](AlignmentRecord&& rec) {
     writer.write(rec);
     ++written;

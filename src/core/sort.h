@@ -9,7 +9,8 @@
 // order over records, also powers the read-pair collation stage
 // (core/collate.h): records are buffered up to a memory budget, each full
 // buffer is stable-sorted and spilled as a BAM run on a background
-// exec::SerialStage, and the runs are k-way merged on drain. The whole
+// exec::SerialStage (its BGZF blocks compressed on options.threads
+// workers), and the runs are k-way merged on drain. The whole
 // sort is stable for ANY key: each run is stable-sorted, runs are created
 // in input order, and the merge breaks key ties by run index — so records
 // with equal keys keep their input order no matter how (or whether) the
@@ -21,6 +22,8 @@
 // directory — or even targeting the same output path — never collide. Every
 // created run is removed when the sorter is destroyed, drained or not, so
 // a failure mid-spill or mid-merge leaves no ".tmp.bam" litter behind.
+// Runs never outlive the sort, so they are written in place
+// (OutputFile::Commit::kDirect): no fsync, no rename.
 
 #pragma once
 
@@ -49,6 +52,10 @@ struct SortOptions {
 
   /// BGZF level for spill runs and the output.
   int compression_level = 6;
+
+  /// BGZF compression workers for spill runs and the output (>= 1; 1 =
+  /// the sequential bgzf::Writer). The bytes do not depend on it.
+  int threads = 1;
 
   /// Directory for spill runs; empty = alongside the output file.
   std::string temp_dir;

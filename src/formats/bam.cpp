@@ -444,22 +444,20 @@ void encode_header(const SamHeader& header, std::string& out) {
 // ------------------------------------------------------------ BamFileWriter
 
 BamFileWriter::BamFileWriter(const std::string& path,
-                             const SamHeader& header, int compression_level)
-    : out_(path, compression_level) {
-  scratch_.clear();
+                             const SamHeader& header, int compression_level,
+                             int threads, OutputFile::Commit commit)
+    : out_(bgzf::open_writer(path, compression_level, threads, commit)) {
   encode_header(header, scratch_);
-  out_.write(scratch_);
+  out_->write(scratch_);
 }
 
-uint64_t BamFileWriter::write(const sam::AlignmentRecord& rec) {
-  uint64_t voffset = out_.tell();
+void BamFileWriter::write(const sam::AlignmentRecord& rec) {
   scratch_.clear();
   encode_record(rec, scratch_);
-  out_.write(scratch_);
-  return voffset;
+  out_->write(scratch_);
 }
 
-void BamFileWriter::close() { out_.close(); }
+void BamFileWriter::close() { out_->close(); }
 
 // ------------------------------------------------------------ BamFileReader
 

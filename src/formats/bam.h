@@ -65,23 +65,26 @@ char* normalize_aux(std::string_view bytes, char* dst);
 /// Serializes the BAM header section (magic, text, reference dictionary).
 void encode_header(const sam::SamHeader& header, std::string& out);
 
-/// Streaming BAM writer over BGZF.
+/// Streaming BAM writer over BGZF. `threads` > 1 compresses blocks on
+/// that many workers (bgzf::open_writer) with byte-identical output, which
+/// is why the writer hands out no virtual offsets: build indexes by
+/// reading the file back (BamFileReader::tell()). `commit` is the output
+/// file's commit mode.
 class BamFileWriter {
  public:
   BamFileWriter(const std::string& path, const sam::SamHeader& header,
-                int compression_level = 6);
+                int compression_level = 6, int threads = 1,
+                OutputFile::Commit commit = OutputFile::Commit::kAtomic);
 
-  /// Writes one record and returns the virtual offset where it begins
-  /// (for index construction).
-  uint64_t write(const sam::AlignmentRecord& rec);
+  void write(const sam::AlignmentRecord& rec);
 
   void close();
 
-  /// Compressed bytes emitted so far (excludes the open BGZF block).
-  uint64_t compressed_bytes() const { return out_.compressed_bytes(); }
+  /// Compressed bytes emitted so far (bgzf::WriterBase::compressed_bytes).
+  uint64_t compressed_bytes() const { return out_->compressed_bytes(); }
 
  private:
-  bgzf::Writer out_;
+  std::unique_ptr<bgzf::WriterBase> out_;
   std::string scratch_;
 };
 

@@ -215,8 +215,10 @@ size_t decompress_block(std::string_view block, std::string& out) {
 
 // -------------------------------------------------------------------- Writer
 
-Writer::Writer(const std::string& path, int level)
-    : out_(std::make_unique<OutputFile>(path)), deflater_(level) {
+Writer::Writer(const std::string& path, int level, OutputFile::Commit commit)
+    : out_(std::make_unique<OutputFile>(
+          path, OutputFile::kDefaultBufferBytes, commit)),
+      deflater_(level) {
   pending_.reserve(kMaxBlockInput);
 }
 

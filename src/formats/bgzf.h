@@ -130,34 +130,59 @@ size_t peek_block_size(std::string_view data);
 /// Inflater.
 size_t decompress_block(std::string_view block, std::string& out);
 
+/// The write-side BGZF contract shared by the sequential Writer and the
+/// ParallelWriter (formats/bgzf_parallel.h): byte-stream write() cut into
+/// the same fixed-size blocks, explicit block ends, and a close() that
+/// appends the EOF marker and commits the file. Both produce identical
+/// bytes for identical calls, so compression width is a construction-time
+/// choice (open_writer), not an API fork. Destruction without close()
+/// rolls the output back.
+class WriterBase {
+ public:
+  virtual ~WriterBase() = default;
+
+  virtual void write(std::string_view data) = 0;
+  void write(const void* data, size_t n) {
+    write(std::string_view(static_cast<const char*>(data), n));
+  }
+
+  /// Ends the current block (if non-empty): a sequence point in the block
+  /// stream.
+  virtual void flush_block() = 0;
+
+  /// Flushes the open block, appends the EOF marker and commits the file.
+  /// Idempotent.
+  virtual void close() = 0;
+
+  /// Compressed bytes emitted so far, excluding any open or in-flight
+  /// block; after close() it is the file size.
+  virtual uint64_t compressed_bytes() const = 0;
+};
+
 /// Streaming BGZF writer: buffers appended bytes and emits full blocks.
 /// Appends the EOF marker on close().
-class Writer {
+class Writer final : public WriterBase {
  public:
-  explicit Writer(const std::string& path, int level = 6);
-  ~Writer();
+  explicit Writer(const std::string& path, int level = 6,
+                  OutputFile::Commit commit = OutputFile::Commit::kAtomic);
+  ~Writer() override;
 
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
-  void write(std::string_view data);
-  void write(const void* data, size_t n) {
-    write(std::string_view(static_cast<const char*>(data), n));
-  }
+  using WriterBase::write;
+  void write(std::string_view data) override;
 
   /// Virtual offset where the *next* byte written will land. Flushing rules
   /// mirror BGZF semantics: the compressed offset is the file position of
   /// the currently open block.
   uint64_t tell() const;
 
-  /// Ends the current block (if non-empty) so that tell() moves to a fresh
-  /// block boundary; used by the BAM writer to align the header.
-  void flush_block();
+  void flush_block() override;
 
-  void close();
+  void close() override;
 
-  /// Compressed bytes emitted so far (excludes the open block's buffer).
-  uint64_t compressed_bytes() const { return compressed_offset_; }
+  uint64_t compressed_bytes() const override { return compressed_offset_; }
 
  private:
   void emit_block();

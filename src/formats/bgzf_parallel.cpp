@@ -26,29 +26,34 @@ ParallelReaderMetrics& reader_metrics() {
   return m;
 }
 
-// Producer backpressure: cap in-flight blocks so a fast producer cannot
-// balloon memory while compression workers lag.
-constexpr size_t kMaxInFlight = 64;
-
-exec::PipelineOptions pipeline_options(int threads) {
-  exec::PipelineOptions opt;
-  opt.workers = threads;
-  opt.window = kMaxInFlight;
-  opt.capacity = kMaxInFlight;
-  return opt;
-}
-
 int checked_threads(int threads) {
   NGSX_CHECK_MSG(threads >= 1, "need at least one compression worker");
   return threads;
 }
 
+exec::PipelineOptions pipeline_options(int threads) {
+  // window and capacity keep the pipeline default, 2 * workers + 4 blocks
+  // each: a fast producer buffers in proportion to the width.
+  exec::PipelineOptions opt;
+  opt.workers = threads;
+  return opt;
+}
+
 }  // namespace
 
+std::unique_ptr<WriterBase> open_writer(const std::string& path, int level,
+                                        int threads,
+                                        OutputFile::Commit commit) {
+  if (checked_threads(threads) == 1) {
+    return std::make_unique<Writer>(path, level, commit);
+  }
+  return std::make_unique<ParallelWriter>(path, threads, level, commit);
+}
+
 ParallelWriter::ParallelWriter(const std::string& path, int threads,
-                               int level)
-    : path_(path), level_(level),
-      out_(std::make_unique<OutputFile>(path)),
+                               int level, OutputFile::Commit commit)
+    : out_(std::make_unique<OutputFile>(
+          path, OutputFile::kDefaultBufferBytes, commit)),
       pool_(checked_threads(threads)),
       pipeline_(
           pool_,
@@ -60,7 +65,11 @@ ParallelWriter::ParallelWriter(const std::string& path, int threads,
             deflater.compress(raw, block, level);
             return block;
           },
-          [this](std::string&& block) { out_->write(block); },
+          [this](std::string&& block) {
+            out_->write(block);
+            compressed_bytes_.fetch_add(block.size(),
+                                        std::memory_order_relaxed);
+          },
           pipeline_options(threads)) {
   pending_.reserve(kMaxBlockInput);
 }
@@ -118,6 +127,8 @@ void ParallelWriter::close() {
     }
     pipeline_.finish();  // drain; rethrows the first compression/write error
     out_->write(eof_marker());
+    compressed_bytes_.fetch_add(eof_marker().size(),
+                                std::memory_order_relaxed);
     out_->close();
   } catch (...) {
     try {

@@ -12,8 +12,9 @@
 // deterministic at a fixed level), just produced with more cores.
 // tell() / virtual offsets are intentionally absent: compressed offsets
 // only materialize after compression, and the bulk-output paths this
-// writer serves (converter part files) never need them. Use bgzf::Writer
-// when building indexes.
+// writer serves (collation's spill runs and its name-grouped, duplicate-
+// marked and sorted BAM outputs, through open_writer) never need them.
+// Use bgzf::Writer when building indexes.
 //
 // ParallelReader: the dual pipeline on the decode side (the paper accepts
 // BAM reading as inherently sequential; block-level inflation is the part
@@ -43,34 +44,39 @@
 
 namespace ngsx::bgzf {
 
-class ParallelWriter {
+class ParallelWriter final : public WriterBase {
  public:
   /// `threads` compression workers (>= 1); blocks are committed to the
-  /// file in order by the pipeline's internal driver thread.
-  ParallelWriter(const std::string& path, int threads, int level = 6);
-  ~ParallelWriter();
+  /// file in order by the pipeline's own committing thread. The input queue
+  /// and the reorder window each hold at most 2 * threads + 4 blocks (the
+  /// exec::Pipeline default), so buffered memory grows with the width.
+  ParallelWriter(const std::string& path, int threads, int level = 6,
+                 OutputFile::Commit commit = OutputFile::Commit::kAtomic);
+  ~ParallelWriter() override;
 
   ParallelWriter(const ParallelWriter&) = delete;
   ParallelWriter& operator=(const ParallelWriter&) = delete;
 
-  void write(std::string_view data);
-  void write(const void* data, size_t n) {
-    write(std::string_view(static_cast<const char*>(data), n));
-  }
+  using WriterBase::write;
+  void write(std::string_view data) override;
 
-  /// Ends the current block early (a sequence point in the block stream).
-  void flush_block();
+  void flush_block() override;
 
   /// Drains the pipeline, appends the EOF marker, closes the file, and
   /// rethrows the first worker/writer error if any occurred.
-  void close();
+  void close() override;
+
+  /// Counts blocks as the ordered sink commits them, so mid-stream it lags
+  /// the sequential writer by the blocks still in flight.
+  uint64_t compressed_bytes() const override {
+    return compressed_bytes_.load(std::memory_order_relaxed);
+  }
 
  private:
   void submit_pending();
 
-  std::string path_;
-  int level_;
   std::unique_ptr<OutputFile> out_;
+  std::atomic<uint64_t> compressed_bytes_{0};
 
   std::string pending_;
   bool closed_ = false;
@@ -78,6 +84,13 @@ class ParallelWriter {
   exec::Pool pool_;
   exec::Pipeline<std::string, std::string> pipeline_;
 };
+
+/// Opens a BGZF writer at `level` with `threads` compression workers
+/// (>= 1): 1 gives the sequential Writer, more the ParallelWriter; the
+/// bytes are the same either way. `commit` is passed to the OutputFile.
+std::unique_ptr<WriterBase> open_writer(
+    const std::string& path, int level, int threads,
+    OutputFile::Commit commit = OutputFile::Commit::kAtomic);
 
 /// Default number of decompressed blocks buffered ahead of the consumer
 /// (the readahead window; also the pipeline's uncommitted-ticket window).

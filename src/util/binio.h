@@ -173,7 +173,10 @@ class OutputFile {
  public:
   enum class Commit { kDirect, kAtomic };
 
-  explicit OutputFile(const std::string& path, size_t buffer_bytes = 1 << 20,
+  static constexpr size_t kDefaultBufferBytes = 1 << 20;
+
+  explicit OutputFile(const std::string& path,
+                      size_t buffer_bytes = kDefaultBufferBytes,
                       Commit commit = Commit::kAtomic);
 
   /// Unclosed destruction is a rollback, not a commit: atomic-mode staging

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -138,6 +140,74 @@ TEST(ParallelWriterEdge, BackpressureBoundsMemory) {
     total += got;
   }
   EXPECT_EQ(total, 200ull * kMaxBlockInput);
+}
+
+// ------------------------------------------------------------ open_writer
+
+/// Writes a header that does not end on a block boundary, a payload with
+/// explicit block ends at irregular points, and a tail through
+/// open_writer; returns compressed_bytes() after close().
+uint64_t write_through_open_writer(const std::string& path, int threads) {
+  std::unique_ptr<WriterBase> w = open_writer(path, 6, threads);
+  w->write(random_payload(1000, 5));  // "header": ends mid-block
+  Rng rng(11);
+  std::string payload = random_payload(600000, 6);
+  size_t pos = 0;
+  while (pos < payload.size()) {
+    size_t take = std::min(payload.size() - pos, 1 + rng.below(90000));
+    w->write(std::string_view(payload).substr(pos, take));
+    pos += take;
+    if (rng.below(3) == 0) {
+      w->flush_block();
+    }
+  }
+  w->write("tail", 4);
+  w->close();
+  return w->compressed_bytes();
+}
+
+TEST(OpenWriter, WidthsGiveIdenticalBytesAndCompressedBytes) {
+  TempDir tmp;
+  const uint64_t seq = write_through_open_writer(tmp.file("w1.bgzf"), 1);
+  const std::string expected = read_file(tmp.file("w1.bgzf"));
+  EXPECT_EQ(seq, expected.size());
+  for (int threads : {2, 4}) {
+    std::string path = tmp.file("w" + std::to_string(threads) + ".bgzf");
+    EXPECT_EQ(write_through_open_writer(path, threads), seq) << threads;
+    EXPECT_EQ(read_file(path), expected) << threads;
+  }
+}
+
+TEST(OpenWriter, WidthPicksTheImplementation) {
+  TempDir tmp;
+  auto seq = open_writer(tmp.file("a.bgzf"), 6, 1);
+  auto par = open_writer(tmp.file("b.bgzf"), 6, 3);
+  EXPECT_NE(dynamic_cast<Writer*>(seq.get()), nullptr);
+  EXPECT_NE(dynamic_cast<ParallelWriter*>(par.get()), nullptr);
+  seq->close();
+  par->close();
+  EXPECT_THROW(open_writer(tmp.file("c.bgzf"), 6, 0), Error);
+}
+
+TEST(OpenWriter, CommitModeReachesTheFile) {
+  // kDirect writes the final path in place (visible before close) and an
+  // abandoned writer removes it; kAtomic publishes only on close().
+  TempDir tmp;
+  for (int threads : {1, 4}) {
+    std::string direct = tmp.file("direct" + std::to_string(threads));
+    std::string atomic = tmp.file("atomic" + std::to_string(threads));
+    {
+      auto d = open_writer(direct, 6, threads, OutputFile::Commit::kDirect);
+      auto a = open_writer(atomic, 6, threads);
+      d->write("abc", 3);
+      a->write("abc", 3);
+      EXPECT_TRUE(std::filesystem::exists(direct)) << threads;
+      EXPECT_FALSE(std::filesystem::exists(atomic)) << threads;
+      a->close();
+    }  // d abandoned without close()
+    EXPECT_FALSE(std::filesystem::exists(direct)) << threads;
+    EXPECT_TRUE(std::filesystem::exists(atomic)) << threads;
+  }
 }
 
 // ------------------------------------------------------------ reader side

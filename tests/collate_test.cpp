@@ -82,14 +82,29 @@ std::string read_bytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// Spill runs ("*.tmp.bam") and atomic-commit staging files ("*.tmp.<pid>")
+/// left in `dir`.
 int count_tmp_files(const std::string& dir) {
   int n = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().string().find(".tmp.bam") != std::string::npos) {
+    if (entry.path().filename().string().find(".tmp") != std::string::npos) {
       ++n;
     }
   }
   return n;
+}
+
+/// Collation options at `width` (CollateOptions::parse_threads), all in
+/// memory or forced to spill into `temp_dir` every few records.
+CollateOptions width_options(int width, bool spill,
+                             const std::string& temp_dir) {
+  CollateOptions options;
+  options.parse_threads = width;
+  if (spill) {
+    options.max_records_in_memory = 16;
+    options.temp_dir = temp_dir;
+  }
+  return options;
 }
 
 /// Event recorder: collects what the stage emitted.
@@ -304,6 +319,27 @@ TEST(CollateToBam, ByteIdenticalAcrossBudgets) {
   EXPECT_EQ(count_tmp_files(tmp.path()), 0);
 }
 
+TEST(CollateToBam, ParallelWidthMatchesSequential) {
+  // Width 4 deflates spill runs and the output on worker threads; the
+  // bytes must equal width 1's, in memory and under forced spills.
+  TempDir tmp;
+  std::string in = write_simulated(tmp, 400, 9);
+  for (bool spill : {false, true}) {
+    const std::string tag = spill ? "ext" : "mem";
+    CollateStats seq = collate_to_bam(in, tmp.file(tag + "1.bam"),
+                                      width_options(1, spill, tmp.path()));
+    CollateStats par = collate_to_bam(in, tmp.file(tag + "4.bam"),
+                                      width_options(4, spill, tmp.path()));
+    EXPECT_EQ(seq.spill_runs, par.spill_runs);
+    EXPECT_EQ(seq.spilled_bytes, par.spilled_bytes);
+    EXPECT_EQ(par.spill_runs > 2, spill);
+    EXPECT_EQ(read_bytes(tmp.file(tag + "1.bam")),
+              read_bytes(tmp.file(tag + "4.bam")))
+        << tag;
+  }
+  EXPECT_EQ(count_tmp_files(tmp.path()), 0);
+}
+
 // ------------------------------------------------------- collate_to_fastq
 
 TEST(CollateToFastq, PairedExportWithOrphansAndSingles) {
@@ -510,12 +546,12 @@ TEST(MarkDuplicates, OrphansAndSinglesNeverMarked) {
   EXPECT_TRUE(names.count("orphan"));  // incomplete pairs never compete
 }
 
-TEST(MarkDuplicates, ByteIdenticalAcrossBudgets) {
-  TempDir tmp;
-  // Simulated base plus injected positional duplicates, so both passes
-  // have real work under spilling.
+/// Simulated base plus injected positional duplicates (copies of up to 40
+/// mapped pairs under new names), so both marking passes have real work
+/// under spilling. Returns the input path.
+std::string write_dup_input(TempDir& tmp, uint64_t pairs, uint64_t seed) {
   SamHeader header;
-  std::string base = write_simulated(tmp, 200, 10, &header);
+  std::string base = write_simulated(tmp, pairs, seed, &header);
   auto records = read_bam(base);
   std::map<std::string, std::vector<AlignmentRecord>> groups;
   for (const auto& rec : records) {
@@ -535,9 +571,15 @@ TEST(MarkDuplicates, ByteIdenticalAcrossBudgets) {
       break;
     }
   }
-  ASSERT_GT(copied, 0);
+  EXPECT_GT(copied, 0);
   std::string in = tmp.file("with_dups.bam");
   write_bam(in, header, records);
+  return in;
+}
+
+TEST(MarkDuplicates, ByteIdenticalAcrossBudgets) {
+  TempDir tmp;
+  std::string in = write_dup_input(tmp, 200, 10);
 
   CollateStats mem = mark_duplicates(in, tmp.file("mem.bam"),
                                      DuplicateMode::kMark);
@@ -558,6 +600,34 @@ TEST(MarkDuplicates, ByteIdenticalAcrossBudgets) {
   mark_duplicates(in, tmp.file("ext_drop.bam"), DuplicateMode::kDrop, tiny);
   EXPECT_EQ(read_bytes(tmp.file("mem_drop.bam")),
             read_bytes(tmp.file("ext_drop.bam")));
+}
+
+TEST(MarkDuplicates, ParallelWidthMatchesSequential) {
+  // Both passes spill at width 4 with parallel deflate, and the output is
+  // written on workers too; mark and drop mode must equal width 1's bytes.
+  TempDir tmp;
+  std::string in = write_dup_input(tmp, 300, 12);
+  for (DuplicateMode mode : {DuplicateMode::kMark, DuplicateMode::kDrop}) {
+    for (bool spill : {false, true}) {
+      const std::string tag = std::string(mode == DuplicateMode::kMark
+                                              ? "mark"
+                                              : "drop") +
+                              (spill ? "_ext" : "_mem");
+      CollateStats seq = mark_duplicates(in, tmp.file(tag + "1.bam"), mode,
+                                         width_options(1, spill, tmp.path()));
+      CollateStats par = mark_duplicates(in, tmp.file(tag + "4.bam"), mode,
+                                         width_options(4, spill, tmp.path()));
+      EXPECT_GT(par.dup_records, 0u) << tag;
+      EXPECT_EQ(seq.dup_records, par.dup_records) << tag;
+      EXPECT_EQ(seq.spill_runs, par.spill_runs) << tag;
+      EXPECT_EQ(seq.spilled_bytes, par.spilled_bytes) << tag;
+      EXPECT_EQ(par.spill_runs > 2, spill) << tag;
+      EXPECT_EQ(read_bytes(tmp.file(tag + "1.bam")),
+                read_bytes(tmp.file(tag + "4.bam")))
+          << tag;
+    }
+  }
+  EXPECT_EQ(count_tmp_files(tmp.path()), 0);
 }
 
 TEST(MarkDuplicates, FeedsBaix2DuplicateFilter) {

@@ -11,6 +11,7 @@
 #include "formats/bai.h"
 #include "formats/bam.h"
 #include "formats/sam.h"
+#include "obs/metrics.h"
 #include "testutil.h"
 #include "util/tempdir.h"
 
@@ -78,6 +79,18 @@ void expect_sorted_same_multiset(const std::vector<AlignmentRecord>& input,
   }
 }
 
+/// Files in `dir` whose name marks them temporary: spill runs
+/// ("*.tmp.bam") and atomic-commit staging files ("*.tmp.<pid>").
+int count_tmp_files(const std::string& dir) {
+  int n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().find(".tmp") != std::string::npos) {
+      ++n;
+    }
+  }
+  return n;
+}
+
 TEST(Sort, InMemoryPath) {
   TempDir tmp;
   auto records = shuffled_records(500, 1);
@@ -98,15 +111,7 @@ TEST(Sort, ExternalMergePath) {
   EXPECT_EQ(n, records.size());
   expect_sorted_same_multiset(records, read_bam(tmp.file("out.bam")));
   EXPECT_TRUE(is_coordinate_sorted(tmp.file("out.bam")));
-  // Spill runs cleaned up.
-  namespace fs = std::filesystem;
-  int leftovers = 0;
-  for (const auto& entry : fs::directory_iterator(tmp.path())) {
-    if (entry.path().string().find(".tmp.bam") != std::string::npos) {
-      ++leftovers;
-    }
-  }
-  EXPECT_EQ(leftovers, 0);
+  EXPECT_EQ(count_tmp_files(tmp.path()), 0);  // spill runs cleaned up
 }
 
 TEST(Sort, ExternalMatchesInMemory) {
@@ -118,6 +123,47 @@ TEST(Sort, ExternalMatchesInMemory) {
   tiny.max_records_in_memory = 10;
   sort_to_bam(tmp.file("in.bam"), tmp.file("ext.bam"), tiny);
   EXPECT_EQ(read_bam(tmp.file("mem.bam")), read_bam(tmp.file("ext.bam")));
+}
+
+TEST(Sort, ParallelWidthMatchesSequential) {
+  // SortOptions::threads deflates spill runs and the output on workers;
+  // the bytes must not change, in memory or under forced spills.
+  TempDir tmp;
+  write_bam(tmp.file("in.bam"), shuffled_records(1500, 4));
+  for (bool spill : {false, true}) {
+    const std::string tag = spill ? "ext" : "mem";
+    SortOptions options;
+    options.temp_dir = tmp.path();
+    if (spill) {
+      options.max_records_in_memory = 16;
+    }
+    options.threads = 1;
+    sort_to_bam(tmp.file("in.bam"), tmp.file(tag + "1.bam"), options);
+    options.threads = 4;
+    sort_to_bam(tmp.file("in.bam"), tmp.file(tag + "4.bam"), options);
+    EXPECT_EQ(read_file(tmp.file(tag + "1.bam")),
+              read_file(tmp.file(tag + "4.bam")))
+        << tag;
+  }
+  EXPECT_EQ(count_tmp_files(tmp.path()), 0);
+}
+
+TEST(Sort, SpillRunsSkipTheFsync) {
+  // Runs are deleted before the sort returns, so they are written in
+  // place: the only fsync is the output's atomic commit.
+  TempDir tmp;
+  write_bam(tmp.file("in.bam"), shuffled_records(500, 5));
+  obs::enable_metrics();
+  obs::reset_metrics();
+  SortOptions options;
+  options.max_records_in_memory = 64;
+  options.threads = 2;
+  sort_to_bam(tmp.file("in.bam"), tmp.file("out.bam"), options);
+  const uint64_t fsyncs = obs::snapshot().counter_value("io.binio.fsyncs");
+  obs::enable_metrics(false);
+  obs::reset_metrics();
+  EXPECT_EQ(fsyncs, 1u);
+  EXPECT_EQ(count_tmp_files(tmp.path()), 0);
 }
 
 TEST(Sort, StableForEqualCoordinates) {
@@ -187,14 +233,7 @@ TEST(Sort, RepeatedSortsSameTargetDoNotCollide) {
   sort_to_bam(tmp.file("in.bam"), tmp.file("out.bam"), options);
   expect_sorted_same_multiset(records, read_bam(tmp.file("out.bam")));
   EXPECT_EQ(first, "ok");
-  namespace fs = std::filesystem;
-  int leftovers = 0;
-  for (const auto& entry : fs::directory_iterator(tmp.path())) {
-    if (entry.path().string().find(".tmp.bam") != std::string::npos) {
-      ++leftovers;
-    }
-  }
-  EXPECT_EQ(leftovers, 0);
+  EXPECT_EQ(count_tmp_files(tmp.path()), 0);
 }
 
 TEST(Sort, SamInputAccepted) {
