@@ -103,11 +103,11 @@ int main(int argc, char** argv) {
   // BAMX section lengths (what the workers measure the chunk layout with).
   double t_parse;
   bamx::BamxLayout layout;
-  std::vector<bamx::BamRecordShape> shapes(bodies.size());
+  std::vector<bam::RecordShape> shapes(bodies.size());
   {
     WallTimer timer;
     for (size_t i = 0; i < bodies.size(); ++i) {
-      shapes[i] = bamx::scan_bam_record(bodies[i]);
+      shapes[i] = bam::scan_record(bodies[i]);
       layout.accommodate(shapes[i]);
     }
     t_parse = timer.seconds();

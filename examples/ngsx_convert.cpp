@@ -76,8 +76,8 @@ int usage(const char* prog) {
                "caps in-memory records before spilling, --temp-dir DIR\n"
                "redirects spill runs, --no-orphans drops orphaned mates\n"
                "from FASTQ export; --threads T is the collation width:\n"
-               "record-parse workers and BGZF deflate workers for spill\n"
-               "runs and BAM output (0 = auto)\n",
+               "record-parse workers and BGZF deflate workers for the BAM\n"
+               "output (0 = auto)\n",
                prog);
   return 2;
 }

@@ -86,37 +86,43 @@ struct Timer {
 /// Drains a name-collated sorter as whole name groups. Within a group,
 /// records arrive in (pairing_rank, input order): primary R1, primary
 /// R2, primary unpaired, then secondary/supplementary lines.
-void drain_groups(
-    ExternalSorter& sorter,
-    const std::function<void(std::vector<AlignmentRecord>&&)>& fn) {
-  std::vector<AlignmentRecord> group;
-  sorter.drain([&](AlignmentRecord&& rec) {
-    if (!group.empty() && group.front().qname != rec.qname) {
+void drain_groups(ExternalSorter& sorter,
+                  const std::function<void(std::vector<RawRecord>&&)>& fn) {
+  std::vector<RawRecord> group;
+  sorter.drain([&](RawRecord&& body) {
+    if (!group.empty() && bam::RecordView(group.front()).qname() !=
+                              bam::RecordView(body).qname()) {
       fn(std::move(group));
       group.clear();
     }
-    group.push_back(std::move(rec));
+    group.push_back(std::move(body));
   });
   if (!group.empty()) {
     fn(std::move(group));
   }
 }
 
+/// pairing_rank of a raw body.
+int rank_of(std::string_view body) {
+  return pairing_rank(bam::RecordView(body).flag());
+}
+
 /// The primary mates of a name group, if the group has exactly one of
 /// each; group order puts them first (see drain_groups).
-std::pair<const AlignmentRecord*, const AlignmentRecord*> primary_pair(
-    const std::vector<AlignmentRecord>& group) {
-  const AlignmentRecord* r1 = nullptr;
-  const AlignmentRecord* r2 = nullptr;
-  for (const auto& rec : group) {
-    if (!rec.is_primary() || !rec.is_paired()) {
-      continue;
+std::pair<const RawRecord*, const RawRecord*> primary_pair(
+    const std::vector<RawRecord>& group) {
+  const RawRecord* r1 = nullptr;
+  const RawRecord* r2 = nullptr;
+  for (const auto& body : group) {
+    const int rank = rank_of(body);
+    if (rank > 1) {
+      continue;  // not a paired primary
     }
-    const AlignmentRecord*& slot = rec.is_read2() ? r2 : r1;
+    const RawRecord*& slot = rank == 1 ? r2 : r1;
     if (slot != nullptr) {
       return {nullptr, nullptr};  // malformed: two primaries of one rank
     }
-    slot = &rec;
+    slot = &body;
   }
   if (r1 == nullptr || r2 == nullptr) {
     return {nullptr, nullptr};
@@ -148,13 +154,14 @@ struct FragmentEnd {
   }
 };
 
-FragmentEnd end_of(const AlignmentRecord& rec) {
-  if (rec.is_unmapped() || rec.ref_id < 0) {
+FragmentEnd end_of(std::string_view body) {
+  const bam::RecordView rec(body);
+  if ((rec.flag() & sam::kUnmapped) != 0 || rec.ref_id() < 0) {
     return {};
   }
-  return {rec.ref_id,
-          rec.is_reverse() ? rec.unclipped_end() : rec.unclipped_start(),
-          rec.is_reverse()};
+  const bool reverse = (rec.flag() & sam::kReverse) != 0;
+  return {rec.ref_id(),
+          reverse ? rec.unclipped_end() : rec.unclipped_start(), reverse};
 }
 
 /// Canonically ordered pair of fragment ends — R1/R2 labelling does not
@@ -186,8 +193,8 @@ struct PairSignatureHash {
 
 /// Signature of a complete pair; nullopt when both ends are unmapped
 /// (placement-free records cannot be positional duplicates).
-std::optional<PairSignature> pair_signature(const AlignmentRecord& r1,
-                                            const AlignmentRecord& r2) {
+std::optional<PairSignature> pair_signature(std::string_view r1,
+                                            std::string_view r2) {
   FragmentEnd a = end_of(r1);
   FragmentEnd b = end_of(r2);
   if (a.ref < 0 && b.ref < 0) {
@@ -202,10 +209,17 @@ std::optional<PairSignature> pair_signature(const AlignmentRecord& r1,
 /// Picard's scoring rule: the sum of base qualities >= 15. Records
 /// without stored qualities score 0 (the read-name tie-break keeps the
 /// choice deterministic).
-int64_t base_quality_score(const AlignmentRecord& rec) {
+int64_t base_quality_score(std::string_view body) {
+  const std::string_view quals = bam::RecordView(body).quals();
+  if (quals.empty() || static_cast<uint8_t>(quals[0]) == 0xFF) {
+    return 0;  // absent
+  }
   int64_t score = 0;
-  for (char c : rec.qual) {
-    int q = c - 33;
+  for (char raw : quals) {
+    // The score of the Phred+33 character a decoded record holds
+    // (seqcodec::quals_to_ascii), so raw bytes above 94 wrap as they do
+    // there.
+    const int q = static_cast<char>(raw + 33) - 33;
     if (q >= 15) {
       score += q;
     }
@@ -220,7 +234,7 @@ struct BestPair {
   int64_t score = -1;
   std::string qname;
 
-  void offer(int64_t s, const std::string& name) {
+  void offer(int64_t s, std::string_view name) {
     if (s > score || (s == score && name < qname)) {
       score = s;
       qname = name;
@@ -240,46 +254,64 @@ SamHeader read_header(const std::string& path) {
   return in.header();
 }
 
+ParsePlan parse_plan(const CollateOptions& options) {
+  ParsePlan plan;
+  const int width = collate_width(options);
+  const size_t share = options.max_records_in_memory / 8;
+  if (width == 1 || share < static_cast<size_t>(width) + 1) {
+    return plan;  // sequential: one record in flight
+  }
+  // The pipeline's default window, shrunk with the batch until the
+  // records in flight fit the share.
+  const size_t full_window = 2 * static_cast<size_t>(width) + 4;
+  plan.workers = width;
+  plan.batch = std::clamp<size_t>(share / (full_window + width), 1,
+                                  std::max<size_t>(1, options.record_batch));
+  plan.window = std::min(full_window, share / plan.batch - width);
+  return plan;
+}
+
 void for_each_record(const std::string& path, const CollateOptions& options,
-                     const std::function<void(AlignmentRecord&&)>& fn) {
-  const int workers = collate_width(options);
-  if (workers == 1 || !strutil::ends_with(path, ".bam")) {
+                     const std::function<void(RawRecord&&)>& fn) {
+  const ParsePlan plan = parse_plan(options);
+  if (plan.workers == 1 || !strutil::ends_with(path, ".bam")) {
     AlignmentInput in(path, options.decode_threads);
-    AlignmentRecord rec;
-    while (in.next(rec)) {
-      fn(std::move(rec));
+    RawRecord body;
+    while (in.next_raw(body)) {
+      fn(std::move(body));
     }
     return;
   }
 
-  // Parallel BAM record decode: batches of raw record bodies fan out to
-  // the pool, decoded batches commit strictly in file order.
+  // Parallel BAM record parse: batches of raw record bodies fan out to the
+  // pool to be validated and normalised, and commit strictly in file order.
   bam::BamFileReader reader(path, options.decode_threads);
-  exec::Pool pool(workers);
-  const size_t batch = std::max<size_t>(1, options.record_batch);
-  exec::ordered_pipeline<std::vector<std::string>,
-                         std::vector<AlignmentRecord>>(
+  exec::Pool pool(plan.workers);
+  exec::PipelineOptions pipeline;
+  pipeline.window = plan.window;
+  exec::ordered_pipeline<std::vector<std::string>, std::vector<RawRecord>>(
       pool,
       [&](std::vector<std::string>& bodies) {
         bodies.clear();
         std::string body;
-        while (bodies.size() < batch && reader.next_raw(body)) {
+        while (bodies.size() < plan.batch && reader.next_raw(body)) {
           bodies.push_back(std::move(body));
         }
         return !bodies.empty();
       },
       [](std::vector<std::string>&& bodies, uint64_t) {
-        std::vector<AlignmentRecord> recs(bodies.size());
+        std::vector<RawRecord> out(bodies.size());
         for (size_t i = 0; i < bodies.size(); ++i) {
-          bam::decode_record(bodies[i], recs[i]);
+          bam::normalize_record(bodies[i], out[i]);
         }
-        return recs;
+        return out;
       },
-      [&](std::vector<AlignmentRecord>&& recs, uint64_t) {
-        for (auto& rec : recs) {
-          fn(std::move(rec));
+      [&](std::vector<RawRecord>&& bodies, uint64_t) {
+        for (auto& body : bodies) {
+          fn(std::move(body));
         }
-      });
+      },
+      pipeline);
 }
 
 // ------------------------------------------------------------ CollateStage
@@ -293,30 +325,32 @@ CollateStage::CollateStage(SamHeader header, const std::string& spill_target,
       sorter_(std::move(header), spill_target, name_collate_less,
               to_sort_options(options)) {}
 
-void CollateStage::push(AlignmentRecord rec) {
+void CollateStage::push(RawRecord body) {
   NGSX_CHECK_MSG(!finished_, "push on a finished CollateStage");
   ++stats_.records;
-  if (!rec.is_primary()) {
+  const int rank = rank_of(body);
+  if (rank == 3) {
     ++stats_.passthrough;
     if (events_.on_passthrough) {
-      events_.on_passthrough(std::move(rec));
+      events_.on_passthrough(std::move(body));
     }
     return;
   }
-  if (!rec.is_paired()) {
+  if (rank == 2) {
     ++stats_.singles;
     if (events_.on_single) {
-      events_.on_single(std::move(rec));
+      events_.on_single(std::move(body));
     }
     return;
   }
 
-  auto it = pending_.find(rec.qname);
+  std::string name(bam::RecordView(body).qname());
+  auto it = pending_.find(name);
   if (it != pending_.end()) {
-    if (it->second.is_read2() == rec.is_read2()) {
+    if (rank_of(it->second) == rank) {
       // Malformed: two primaries of the same rank under one name. Shunt
       // the newcomer to the spill path; finish() emits it as an orphan.
-      sorter_.push(std::move(rec));
+      sorter_.push(std::move(body));
       return;
     }
     auto node = pending_.extract(it);
@@ -325,16 +359,16 @@ void CollateStage::push(AlignmentRecord rec) {
     }
     ++stats_.pairs;
     if (events_.on_pair) {
-      if (rec.is_read2()) {
-        events_.on_pair(std::move(node.mapped()), std::move(rec));
+      if (rank == 1) {
+        events_.on_pair(std::move(node.mapped()), std::move(body));
       } else {
-        events_.on_pair(std::move(rec), std::move(node.mapped()));
+        events_.on_pair(std::move(body), std::move(node.mapped()));
       }
     }
     return;
   }
 
-  pending_.emplace(rec.qname, std::move(rec));
+  pending_.emplace(std::move(name), std::move(body));
   if (obs::metrics_enabled()) {
     collate_metrics().live_records.add(1);
   }
@@ -346,8 +380,8 @@ void CollateStage::push(AlignmentRecord rec) {
 void CollateStage::spill_pending() {
   // Bucket-iteration order is unspecified, but every spilled record goes
   // through the stable name sort before anything downstream sees it.
-  for (auto& [name, rec] : pending_) {
-    sorter_.push(std::move(rec));
+  for (auto& [name, body] : pending_) {
+    sorter_.push(std::move(body));
   }
   if (obs::metrics_enabled()) {
     collate_metrics().live_records.sub(static_cast<int64_t>(pending_.size()));
@@ -359,8 +393,8 @@ void CollateStage::spill_pending() {
 void CollateStage::finish() {
   NGSX_CHECK_MSG(!finished_, "CollateStage finished twice");
   finished_ = true;
-  for (auto& [name, rec] : pending_) {
-    sorter_.push(std::move(rec));
+  for (auto& [name, body] : pending_) {
+    sorter_.push(std::move(body));
   }
   if (obs::metrics_enabled()) {
     collate_metrics().live_records.sub(static_cast<int64_t>(pending_.size()));
@@ -370,18 +404,19 @@ void CollateStage::finish() {
   // Everything in the sorter is a paired primary: pending survivors plus
   // spilled records. Groups reuniting exactly R1 + R2 become pairs; any
   // other shape is orphaned.
-  drain_groups(sorter_, [&](std::vector<AlignmentRecord>&& group) {
-    if (group.size() == 2 && !group[0].is_read2() && group[1].is_read2()) {
+  drain_groups(sorter_, [&](std::vector<RawRecord>&& group) {
+    if (group.size() == 2 && rank_of(group[0]) == 0 &&
+        rank_of(group[1]) == 1) {
       ++stats_.pairs;
       if (events_.on_pair) {
         events_.on_pair(std::move(group[0]), std::move(group[1]));
       }
       return;
     }
-    for (auto& rec : group) {
+    for (auto& body : group) {
       ++stats_.orphans;
       if (events_.on_orphan) {
-        events_.on_orphan(std::move(rec));
+        events_.on_orphan(std::move(body));
       }
     }
   });
@@ -404,25 +439,26 @@ CollateStats collate_to_bam(const std::string& in_path,
   ExternalSorter sorter(header, out_bam, name_collate_less,
                         to_sort_options(options));
   for_each_record(in_path, options,
-                  [&](AlignmentRecord&& rec) { sorter.push(std::move(rec)); });
+                  [&](RawRecord&& body) { sorter.push(std::move(body)); });
   stats.records = sorter.total();
 
   bam::BamFileWriter writer(out_bam, header, options.compression_level,
                             collate_width(options));
-  drain_groups(sorter, [&](std::vector<AlignmentRecord>&& group) {
+  drain_groups(sorter, [&](std::vector<RawRecord>&& group) {
     auto [r1, r2] = primary_pair(group);
     if (r1 != nullptr) {
       ++stats.pairs;
     }
-    for (const auto& rec : group) {
-      if (!rec.is_primary()) {
+    for (const auto& body : group) {
+      const int rank = rank_of(body);
+      if (rank == 3) {
         ++stats.passthrough;
-      } else if (!rec.is_paired()) {
+      } else if (rank == 2) {
         ++stats.singles;
       } else if (r1 == nullptr) {
         ++stats.orphans;
       }
-      writer.write(rec);
+      writer.write_body(body);
       ++stats.written;
     }
   });
@@ -453,27 +489,33 @@ CollateStats collate_to_fastq(const std::string& in_path,
     }
     return *writer;
   };
+  // Records are decoded only here, at the sink.
+  AlignmentRecord rec;
+  auto write = [&rec](fastq::FastqWriter& out, const RawRecord& body) {
+    bam::decode_record(body, rec);
+    out.write(rec);
+  };
 
   CollateEvents events;
-  events.on_pair = [&](AlignmentRecord&& r1, AlignmentRecord&& r2) {
-    r1_out.write(r1);
-    r2_out.write(r2);
+  events.on_pair = [&](RawRecord&& r1, RawRecord&& r2) {
+    write(r1_out, r1);
+    write(r2_out, r2);
   };
   if (options.keep_orphans) {
-    events.on_orphan = [&](AlignmentRecord&& rec) {
-      lazy(orphans_out, out_prefix + "_orphans.fastq").write(rec);
+    events.on_orphan = [&](RawRecord&& body) {
+      write(lazy(orphans_out, out_prefix + "_orphans.fastq"), body);
     };
   }
-  events.on_single = [&](AlignmentRecord&& rec) {
-    lazy(singles_out, out_prefix + "_singles.fastq").write(rec);
+  events.on_single = [&](RawRecord&& body) {
+    write(lazy(singles_out, out_prefix + "_singles.fastq"), body);
   };
   // on_passthrough stays unset: secondary/supplementary lines re-render
   // bases the primary line already exported.
 
   CollateStage stage_impl(read_header(in_path), out_prefix + ".collate",
                           std::move(events), options);
-  for_each_record(in_path, options, [&](AlignmentRecord&& rec) {
-    stage_impl.push(std::move(rec));
+  for_each_record(in_path, options, [&](RawRecord&& body) {
+    stage_impl.push(std::move(body));
   });
   stage_impl.finish();
 
@@ -512,42 +554,45 @@ CollateStats mark_duplicates(const std::string& in_path,
   CollateStats stats;
   {
     CollateEvents events;
-    events.on_pair = [&](AlignmentRecord&& r1, AlignmentRecord&& r2) {
+    events.on_pair = [&](RawRecord&& r1, RawRecord&& r2) {
       std::optional<PairSignature> sig = pair_signature(r1, r2);
       if (!sig.has_value()) {
         return;
       }
       best[*sig].offer(base_quality_score(r1) + base_quality_score(r2),
-                       r1.qname);
+                       bam::RecordView(r1).qname());
     };
     CollateStage scan(header, out_bam + ".pairscan", std::move(events),
                       options);
-    for_each_record(in_path, options, [&](AlignmentRecord&& rec) {
-      scan.push(std::move(rec));
+    for_each_record(in_path, options, [&](RawRecord&& body) {
+      scan.push(std::move(body));
     });
     scan.finish();
     stats = scan.stats();
   }
 
   // Pass B: re-read in name-collation order; a group whose primary pair
-  // lost its signature slot is marked (or dropped) whole.
+  // lost its signature slot is marked (or dropped) whole. The 0x400 bit is
+  // cleared on the way in and set on the way out, in place.
   ExternalSorter sorter(header, out_bam, name_collate_less,
                         to_sort_options(options));
-  for_each_record(in_path, options, [&](AlignmentRecord&& rec) {
-    rec.flag &= static_cast<uint16_t>(~sam::kDuplicate);
-    sorter.push(std::move(rec));
+  for_each_record(in_path, options, [&](RawRecord&& body) {
+    bam::set_flag(body.data(), bam::RecordView(body).flag() &
+                                   static_cast<uint16_t>(~sam::kDuplicate));
+    sorter.push(std::move(body));
   });
 
   bam::BamFileWriter writer(out_bam, header, options.compression_level,
                             collate_width(options));
-  drain_groups(sorter, [&](std::vector<AlignmentRecord>&& group) {
+  drain_groups(sorter, [&](std::vector<RawRecord>&& group) {
     bool duplicate = false;
     auto [r1, r2] = primary_pair(group);
     if (r1 != nullptr) {
       std::optional<PairSignature> sig = pair_signature(*r1, *r2);
       if (sig.has_value()) {
         auto it = best.find(*sig);
-        duplicate = it != best.end() && it->second.qname != r1->qname;
+        duplicate = it != best.end() &&
+                    it->second.qname != bam::RecordView(*r1).qname();
       }
     }
     if (duplicate) {
@@ -557,11 +602,13 @@ CollateStats mark_duplicates(const std::string& in_path,
         return;
       }
     }
-    for (auto& rec : group) {
+    for (auto& body : group) {
       if (duplicate) {
-        rec.flag |= sam::kDuplicate;
+        bam::set_flag(body.data(), static_cast<uint16_t>(
+                                       bam::RecordView(body).flag() |
+                                       sam::kDuplicate));
       }
-      writer.write(rec);
+      writer.write_body(body);
       ++stats.written;
     }
   });

@@ -25,6 +25,11 @@
 // through ExternalSorter, whose stability contract (sort.h) makes the
 // result independent of how the input spilled.
 //
+// Records travel as raw BAM bodies (RawRecord, core/sort.h) from the parse
+// stage to the output: keys, pair signatures and quality scores are read
+// from the bytes, duplicate marking patches the flag word in place, and
+// only FASTQ export decodes a record, at its sink.
+//
 // Duplicate marking (mark_duplicates) is two passes:
 //   pass A streams pairs through CollateStage and keeps, per pair
 //   signature, the best pair seen; pass B re-reads the input in
@@ -51,12 +56,13 @@
 namespace ngsx::core {
 
 struct CollateOptions {
-  /// Total decoded-record memory budget, in records: the pending-mate
-  /// bucket holds up to half, the spill sorter's buffer the other half.
-  /// When the bucket fills, its entire contents spill as one run.
+  /// Record memory budget, in records: the pending-mate bucket holds up
+  /// to half, the spill sorter's buffer the other half, and the parse
+  /// read-ahead is sized to at most an eighth (ParsePlan). When the bucket
+  /// fills, its entire contents spill as one run.
   size_t max_records_in_memory = 1'000'000;
 
-  /// BGZF level for spill runs and BAM outputs.
+  /// BGZF level for BAM outputs (spill runs are not compressed).
   int compression_level = 6;
 
   /// Directory for spill runs; empty = alongside the output.
@@ -65,14 +71,15 @@ struct CollateOptions {
   /// BGZF inflate threads for BAM input (0 = auto, 1 = sequential).
   int decode_threads = 1;
 
-  /// The collation width (0 = auto = hardware width). Record decode: BAM
-  /// record bodies are parsed on an exec::ordered_pipeline when > 1, and
-  /// the consumer always sees records strictly in file order. Compression:
-  /// spill runs and BAM outputs are deflated on this many workers
-  /// (SortOptions::threads). Neither changes a byte of output.
+  /// The collation width (0 = auto = hardware width). Record parse: BAM
+  /// record bodies are validated and normalised on an
+  /// exec::ordered_pipeline when > 1 and the budget allows (ParsePlan),
+  /// and the consumer always sees records strictly in file order. Compression: BAM outputs are deflated on this
+  /// many workers (SortOptions::threads). Neither changes a byte of output.
   int parse_threads = 1;
 
-  /// Raw record bodies per parse-pipeline batch.
+  /// Most raw record bodies per parse-pipeline batch; smaller budgets get
+  /// smaller batches (ParsePlan).
   size_t record_batch = 4096;
 
   /// FASTQ export only: write "<prefix>_orphans.fastq" (true) or drop
@@ -90,7 +97,7 @@ struct CollateStats {
   uint64_t passthrough = 0;  ///< secondary/supplementary records
   uint64_t spill_runs = 0;
   uint64_t spilled_records = 0;
-  uint64_t spilled_bytes = 0;  ///< compressed bytes across spill runs
+  uint64_t spilled_bytes = 0;  ///< bytes written to spill runs
   uint64_t dup_pairs = 0;      ///< name groups marked/dropped as duplicates
   uint64_t dup_records = 0;    ///< records in those groups
   uint64_t written = 0;        ///< records written to the primary output
@@ -103,13 +110,13 @@ struct CollateStats {
 /// on_pair, FASTQ export uses all four.
 struct CollateEvents {
   /// A completed primary pair, R1 first.
-  std::function<void(sam::AlignmentRecord&&, sam::AlignmentRecord&&)> on_pair;
+  std::function<void(RawRecord&&, RawRecord&&)> on_pair;
   /// A paired primary whose mate never arrived (fires during finish()).
-  std::function<void(sam::AlignmentRecord&&)> on_orphan;
+  std::function<void(RawRecord&&)> on_orphan;
   /// An unpaired primary (fires immediately on push()).
-  std::function<void(sam::AlignmentRecord&&)> on_single;
+  std::function<void(RawRecord&&)> on_single;
   /// A secondary/supplementary line (fires immediately on push()).
-  std::function<void(sam::AlignmentRecord&&)> on_passthrough;
+  std::function<void(RawRecord&&)> on_passthrough;
 };
 
 /// The stateful collation stage: push records in any order, get pairs.
@@ -125,7 +132,7 @@ class CollateStage {
   CollateStage(const CollateStage&) = delete;
   CollateStage& operator=(const CollateStage&) = delete;
 
-  void push(sam::AlignmentRecord rec);
+  void push(RawRecord body);
 
   /// Flushes pending mates through the spill merge: completes pairs that
   /// were split across spills, emits the rest as orphans. Mandatory.
@@ -139,7 +146,7 @@ class CollateStage {
 
   CollateEvents events_;
   size_t bucket_cap_;
-  std::unordered_map<std::string, sam::AlignmentRecord> pending_;
+  std::unordered_map<std::string, RawRecord> pending_;
   ExternalSorter sorter_;
   CollateStats stats_;
   bool finished_ = false;
@@ -148,11 +155,32 @@ class CollateStage {
 /// Reads just the header of a SAM/BAM file.
 sam::SamHeader read_header(const std::string& path);
 
-/// Streams every record of `path` to `fn` in file order. BAM input with
-/// options.parse_threads != 1 decodes record bodies in parallel on an
-/// ordered pipeline; SAM input is always sequential.
+/// How for_each_record parses BAM input: `workers` parse workers (1 = the
+/// sequential path), `batch` bodies per pipeline ticket, and a pipeline
+/// window of `window` tickets. At most in_flight() records are read but
+/// not yet handed to the consumer, never more than an eighth of
+/// max_records_in_memory. Budgets too small for a parallel window parse
+/// sequentially, one record at a time.
+struct ParsePlan {
+  int workers = 1;
+  size_t batch = 1;
+  size_t window = 1;
+
+  /// Window tickets, one claimed past the window per other worker (see
+  /// exec::PipelineOptions::window), and the batch at the consumer.
+  size_t in_flight() const {
+    return workers == 1 ? 1 : (window + workers) * batch;
+  }
+};
+
+ParsePlan parse_plan(const CollateOptions& options);
+
+/// Streams every record of `path` to `fn` in file order, as normalised raw
+/// bodies (AlignmentInput::next_raw). BAM input parses on an ordered
+/// pipeline when parse_plan(options).workers > 1; SAM input is always
+/// sequential.
 void for_each_record(const std::string& path, const CollateOptions& options,
-                     const std::function<void(sam::AlignmentRecord&&)>& fn);
+                     const std::function<void(RawRecord&&)>& fn);
 
 /// Name-grouped BAM: every input record, ordered by (read name,
 /// pairing_rank, input order). Byte-identical for any memory budget.

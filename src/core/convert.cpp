@@ -594,11 +594,11 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
             // AlignmentRecord in between (bytes equal to decode + encode).
             EncodedChunk out;
             const std::string_view bytes(chunk.bytes);
-            std::vector<bamx::BamRecordShape> shapes(chunk.sizes.size());
+            std::vector<bam::RecordShape> shapes(chunk.sizes.size());
             size_t off = 0;
             for (size_t k = 0; k < chunk.sizes.size(); ++k) {
               shapes[k] =
-                  bamx::scan_bam_record(bytes.substr(off, chunk.sizes[k]));
+                  bam::scan_record(bytes.substr(off, chunk.sizes[k]));
               out.layout.accommodate(shapes[k]);
               off += chunk.sizes[k];
             }

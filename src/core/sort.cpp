@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
-#include <queue>
 #include <utility>
 
 #include "formats/bam.h"
@@ -19,30 +18,34 @@ namespace ngsx::core {
 using sam::AlignmentRecord;
 using sam::SamHeader;
 
-bool coord_less(const AlignmentRecord& a, const AlignmentRecord& b) {
-  uint32_t ra = static_cast<uint32_t>(a.ref_id);
-  uint32_t rb = static_cast<uint32_t>(b.ref_id);
+bool coord_less(std::string_view a, std::string_view b) {
+  const bam::RecordView va(a);
+  const bam::RecordView vb(b);
+  uint32_t ra = static_cast<uint32_t>(va.ref_id());
+  uint32_t rb = static_cast<uint32_t>(vb.ref_id());
   if (ra != rb) {
     return ra < rb;
   }
-  return a.pos < b.pos;
+  return va.pos() < vb.pos();
 }
 
-int pairing_rank(const AlignmentRecord& rec) {
-  if (!rec.is_primary()) {
+int pairing_rank(uint16_t flag) {
+  if ((flag & (sam::kSecondary | sam::kSupplementary)) != 0) {
     return 3;
   }
-  if (!rec.is_paired()) {
+  if ((flag & sam::kPaired) == 0) {
     return 2;
   }
-  return rec.is_read2() ? 1 : 0;
+  return (flag & sam::kRead2) != 0 ? 1 : 0;
 }
 
-bool name_collate_less(const AlignmentRecord& a, const AlignmentRecord& b) {
-  if (int c = a.qname.compare(b.qname); c != 0) {
+bool name_collate_less(std::string_view a, std::string_view b) {
+  const bam::RecordView va(a);
+  const bam::RecordView vb(b);
+  if (int c = va.qname().compare(vb.qname()); c != 0) {
     return c < 0;
   }
-  return pairing_rank(a) < pairing_rank(b);
+  return pairing_rank(va.flag()) < pairing_rank(vb.flag());
 }
 
 // ------------------------------------------------------------ AlignmentInput
@@ -61,8 +64,21 @@ const SamHeader& AlignmentInput::header() const {
   return bam_ ? bam_->header() : sam_->header();
 }
 
-bool AlignmentInput::next(AlignmentRecord& rec) {
-  return bam_ ? bam_->next(rec) : sam_->next(rec);
+bool AlignmentInput::next_raw(RawRecord& body) {
+  if (bam_) {
+    if (!bam_->next_raw(raw_)) {
+      return false;
+    }
+    bam::normalize_record(raw_, body);
+    return true;
+  }
+  if (!sam_->next(record_)) {
+    return false;
+  }
+  raw_.clear();
+  bam::encode_record(record_, raw_);
+  body.assign(raw_, sizeof(int32_t));  // drop block_size
+  return true;
 }
 
 // ------------------------------------------------------------ ExternalSorter
@@ -74,6 +90,11 @@ namespace {
 /// name covers concurrent *processes* sharing a temp_dir.
 std::atomic<uint64_t> g_run_token{0};
 
+/// Spill runs are private and short-lived: their BGZF blocks are stored,
+/// not deflated (EXPERIMENTS.md measures this against length-prefixed raw
+/// bodies and against level 6).
+constexpr int kSpillLevel = 0;
+
 }  // namespace
 
 ExternalSorter::ExternalSorter(SamHeader header,
@@ -81,18 +102,17 @@ ExternalSorter::ExternalSorter(SamHeader header,
                                RecordLess less, const SortOptions& options)
     : header_(std::move(header)),
       less_(less),
-      options_(options),
       // Halve the budget per buffer: one buffer fills while the previous
-      // one sorts/compresses on the spill stage (queue depth 1), keeping
-      // peak residency near the configured budget.
+      // one sorts and is written on the spill stage (queue depth 1),
+      // keeping peak residency near the configured budget.
       buffer_cap_(std::max<size_t>(1, options.max_records_in_memory / 2)),
       spill_stage_(1) {
-  NGSX_CHECK_MSG(options_.max_records_in_memory >= 2,
+  NGSX_CHECK_MSG(options.max_records_in_memory >= 2,
                  "memory budget too small to sort");
   const std::string base =
-      options_.temp_dir.empty()
+      options.temp_dir.empty()
           ? target_path
-          : options_.temp_dir + "/" + fs::path(target_path).filename().string();
+          : options.temp_dir + "/" + fs::path(target_path).filename().string();
   run_base_ = base + "." + std::to_string(getpid()) + "." +
               std::to_string(g_run_token.fetch_add(1));
   buffer_.reserve(std::min<size_t>(buffer_cap_, 1 << 20));
@@ -108,9 +128,9 @@ ExternalSorter::~ExternalSorter() {
   remove_runs();
 }
 
-void ExternalSorter::push(AlignmentRecord rec) {
+void ExternalSorter::push(RawRecord body) {
   NGSX_CHECK_MSG(!drained_, "push on a drained ExternalSorter");
-  buffer_.push_back(std::move(rec));
+  buffer_.push_back(std::move(body));
   ++total_;
   if (buffer_.size() >= buffer_cap_) {
     flush_run();
@@ -128,25 +148,24 @@ void ExternalSorter::flush_run() {
   ++runs_created_;
   run_paths_.push_back(run_path);
   spilled_records_.fetch_add(buffer_.size(), std::memory_order_relaxed);
-  std::vector<AlignmentRecord> spill_buffer;
+  std::vector<RawRecord> spill_buffer;
   spill_buffer.reserve(std::min<size_t>(buffer_cap_, 1 << 20));
   buffer_.swap(spill_buffer);
   spill_stage_.submit([this, run_path = std::move(run_path),
                        records = std::move(spill_buffer)]() mutable {
     std::stable_sort(records.begin(), records.end(), less_);
-    bam::BamFileWriter writer(run_path, header_, options_.compression_level,
-                              options_.threads, OutputFile::Commit::kDirect);
-    for (const auto& rec : records) {
-      writer.write(rec);
+    bam::BamFileWriter run(run_path, header_, kSpillLevel, 1,
+                           OutputFile::Commit::kDirect);
+    for (const RawRecord& body : records) {
+      run.write_body(body);
     }
-    writer.close();
-    spilled_bytes_.fetch_add(writer.compressed_bytes(),
+    run.close();
+    spilled_bytes_.fetch_add(run.compressed_bytes(),
                              std::memory_order_relaxed);
   });
 }
 
-void ExternalSorter::drain(
-    const std::function<void(AlignmentRecord&&)>& emit) {
+void ExternalSorter::drain(const std::function<void(RawRecord&&)>& emit) {
   NGSX_CHECK_MSG(!drained_, "ExternalSorter drained twice");
   drained_ = true;
 
@@ -154,8 +173,8 @@ void ExternalSorter::drain(
     // Fast path: everything fit in memory.
     spill_stage_.finish();
     std::stable_sort(buffer_.begin(), buffer_.end(), less_);
-    for (auto& rec : buffer_) {
-      emit(std::move(rec));
+    for (auto& body : buffer_) {
+      emit(std::move(body));
     }
     buffer_.clear();
     return;
@@ -164,43 +183,45 @@ void ExternalSorter::drain(
   flush_run();  // the final partial buffer becomes the last run
   spill_stage_.finish();  // every run committed (or the first error throws)
 
-  // K-way merge. Ties break by run index, which — because runs are created
-  // in input order and each run is stably sorted — makes the whole sort
-  // stable under any key.
+  // K-way merge on a binary heap of run heads. Ties break by run index,
+  // which — because runs are created in input order and each run is
+  // stably sorted — makes the whole sort stable under any key.
   struct Head {
-    AlignmentRecord rec;
+    RawRecord body;
     size_t run;
   };
-  auto head_greater = [this](const Head& a, const Head& b) {
-    if (less_(a.rec, b.rec)) {
+  auto after = [this](const Head& a, const Head& b) {
+    if (less_(a.body, b.body)) {
       return false;
     }
-    if (less_(b.rec, a.rec)) {
+    if (less_(b.body, a.body)) {
       return true;
     }
     return a.run > b.run;
   };
   std::vector<std::unique_ptr<bam::BamFileReader>> readers;
   readers.reserve(run_paths_.size());
-  std::priority_queue<Head, std::vector<Head>, decltype(head_greater)> heap(
-      head_greater);
+  std::vector<Head> heap;
+  heap.reserve(run_paths_.size());
   for (size_t r = 0; r < run_paths_.size(); ++r) {
     readers.push_back(std::make_unique<bam::BamFileReader>(run_paths_[r]));
-    AlignmentRecord rec;
-    if (readers.back()->next(rec)) {
-      heap.push(Head{std::move(rec), r});
+    Head head{RawRecord(), r};
+    if (readers.back()->next_raw(head.body)) {
+      heap.push_back(std::move(head));
     }
   }
+  std::make_heap(heap.begin(), heap.end(), after);
 
   uint64_t merged = 0;
   while (!heap.empty()) {
-    Head head = heap.top();
-    heap.pop();
-    emit(std::move(head.rec));
+    std::pop_heap(heap.begin(), heap.end(), after);
+    Head& head = heap.back();
+    emit(std::move(head.body));
     ++merged;
-    AlignmentRecord rec;
-    if (readers[head.run]->next(rec)) {
-      heap.push(Head{std::move(rec), head.run});
+    if (readers[head.run]->next_raw(head.body)) {
+      std::push_heap(heap.begin(), heap.end(), after);
+    } else {
+      heap.pop_back();
     }
   }
   NGSX_CHECK_MSG(merged == total_, "merge lost records");
@@ -225,16 +246,16 @@ uint64_t sort_file(const std::string& in_path, const std::string& out_bam,
   AlignmentInput source(in_path);
   ExternalSorter sorter(source.header(), out_bam, less, options);
   {
-    AlignmentRecord rec;
-    while (source.next(rec)) {
-      sorter.push(std::move(rec));
+    RawRecord body;
+    while (source.next_raw(body)) {
+      sorter.push(std::move(body));
     }
   }
   uint64_t written = 0;
   bam::BamFileWriter writer(out_bam, source.header(),
                             options.compression_level, options.threads);
-  sorter.drain([&](AlignmentRecord&& rec) {
-    writer.write(rec);
+  sorter.drain([&](RawRecord&& body) {
+    writer.write_body(body);
     ++written;
   });
   writer.close();
@@ -250,24 +271,25 @@ uint64_t sort_to_bam(const std::string& in_path, const std::string& out_bam,
 
 bool is_coordinate_sorted(const std::string& path) {
   AlignmentInput source(path);
-  AlignmentRecord rec;
+  RawRecord body;
   uint32_t last_ref = 0;
   int32_t last_pos = -1;
   bool seen_unmapped = false;
-  while (source.next(rec)) {
-    if (rec.ref_id < 0) {
+  while (source.next_raw(body)) {
+    const bam::RecordView rec(body);
+    if (rec.ref_id() < 0) {
       seen_unmapped = true;
       continue;
     }
     if (seen_unmapped) {
       return false;  // mapped record after the unmapped block
     }
-    uint32_t ref = static_cast<uint32_t>(rec.ref_id);
-    if (ref < last_ref || (ref == last_ref && rec.pos < last_pos)) {
+    uint32_t ref = static_cast<uint32_t>(rec.ref_id());
+    if (ref < last_ref || (ref == last_ref && rec.pos() < last_pos)) {
       return false;
     }
     last_ref = ref;
-    last_pos = rec.pos;
+    last_pos = rec.pos();
   }
   return true;
 }

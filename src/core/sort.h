@@ -7,23 +7,27 @@
 // so coordinate sorting is provided (sort_to_bam). The same spill/merge
 // machinery, generalized from the fixed coordinate key to any strict weak
 // order over records, also powers the read-pair collation stage
-// (core/collate.h): records are buffered up to a memory budget, each full
-// buffer is stable-sorted and spilled as a BAM run on a background
-// exec::SerialStage (its BGZF blocks compressed on options.threads
-// workers), and the runs are k-way merged on drain. The whole
-// sort is stable for ANY key: each run is stable-sorted, runs are created
-// in input order, and the merge breaks key ties by run index — so records
-// with equal keys keep their input order no matter how (or whether) the
-// input spilled. That stability is what makes collation output
-// byte-identical between in-memory and forced-spill configurations.
+// (core/collate.h). Records travel as raw BAM bodies (RawRecord) and keys
+// are read straight from the bytes, as biobambam's collate/sort does:
+// records are buffered up to a memory budget, each full buffer is
+// stable-sorted and spilled as a run on a background exec::SerialStage,
+// and the runs are k-way merged on drain. The whole sort is stable for
+// ANY key: each run is stable-sorted, runs are created in input order,
+// and the merge breaks key ties by run index — so records with equal keys
+// keep their input order no matter how (or whether) the input spilled.
+// That stability is what makes collation output byte-identical between
+// in-memory and forced-spill configurations.
 //
-// Run files are named "<target>.<pid>.<token>.run<N>.tmp.bam" with a
-// process-wide monotonic token, so concurrent sorts sharing a temp
-// directory — or even targeting the same output path — never collide. Every
-// created run is removed when the sorter is destroyed, drained or not, so
-// a failure mid-spill or mid-merge leaves no ".tmp.bam" litter behind.
-// Runs never outlive the sort, so they are written in place
-// (OutputFile::Commit::kDirect): no fsync, no rename.
+// Spill runs are private to the sorter and never outlive it, so they are
+// not compressed: a run is a BAM file whose BGZF blocks are stored (level
+// 0), written by the sequential bgzf::Writer on the spill stage's one
+// thread, in place (OutputFile::Commit::kDirect: no fsync, no rename), and
+// read back as raw bodies (bam::BamFileReader::next_raw). Run files are named
+// "<target>.<pid>.<token>.run<N>.tmp.bam" with a process-wide monotonic
+// token, so concurrent sorts sharing a temp directory — or even targeting
+// the same output path — never collide. Every created run is removed when
+// the sorter is destroyed, drained or not, so a failure mid-spill or
+// mid-merge leaves no ".tmp.bam" litter behind.
 
 #pragma once
 
@@ -32,6 +36,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exec/serial.h"
@@ -45,43 +50,48 @@ namespace ngsx::core {
 
 struct SortOptions {
   /// Records buffered in memory before spilling a run. The default keeps
-  /// runs around a few hundred MB of decoded records. Because runs are
-  /// sorted and compressed on a background stage while the next buffer
+  /// runs around a few hundred MB of record bodies. Because runs are
+  /// sorted and written on a background stage while the next buffer
   /// fills, peak residency can briefly reach ~1.5x this budget.
   size_t max_records_in_memory = 1'000'000;
 
-  /// BGZF level for spill runs and the output.
+  /// BGZF level for the output (spill runs are not compressed).
   int compression_level = 6;
 
-  /// BGZF compression workers for spill runs and the output (>= 1; 1 =
-  /// the sequential bgzf::Writer). The bytes do not depend on it.
+  /// BGZF compression workers for the output (>= 1; 1 = the sequential
+  /// bgzf::Writer). The bytes do not depend on it.
   int threads = 1;
 
   /// Directory for spill runs; empty = alongside the output file.
   std::string temp_dir;
 };
 
-/// Pluggable record order for the external-merge machinery. A plain
-/// function pointer: orders must be stateless so that spill runs written
-/// by a background thread compare identically at merge time.
-using RecordLess = bool (*)(const sam::AlignmentRecord&,
-                            const sam::AlignmentRecord&);
+/// One alignment as a raw BAM record body (without block_size) in the
+/// normalised form bam::normalize_record produces: exactly the bytes
+/// bam::encode_record writes after its block_size. Sorting and collation
+/// carry records in this form, and bam::RecordView reads their fields.
+using RawRecord = std::string;
+
+/// Pluggable record order for the external-merge machinery, over raw
+/// bodies. A plain function pointer: orders must be stateless so that
+/// spill runs written by a background thread compare identically at merge
+/// time.
+using RecordLess = bool (*)(std::string_view, std::string_view);
 
 /// Coordinate order: (ref id as unsigned so -1 sorts last, position) —
 /// samtools' sort order.
-bool coord_less(const sam::AlignmentRecord& a, const sam::AlignmentRecord& b);
+bool coord_less(std::string_view a, std::string_view b);
 
-/// Rank of a record within its read-name group under collation order:
-/// primary read1 (0), primary read2 (1), primary unpaired (2), then
-/// secondary/supplementary lines (3).
-int pairing_rank(const sam::AlignmentRecord& rec);
+/// Rank of a record with flag word `flag` within its read-name group under
+/// collation order: primary read1 (0), primary read2 (1), primary unpaired
+/// (2), then secondary/supplementary lines (3).
+int pairing_rank(uint16_t flag);
 
 /// Name-collation order: read name (plain byte-wise comparison), then
 /// pairing_rank — so a group's primary mates are adjacent with R1 first.
 /// Records with equal (name, rank) keep input order per the stability
 /// contract above.
-bool name_collate_less(const sam::AlignmentRecord& a,
-                       const sam::AlignmentRecord& b);
+bool name_collate_less(std::string_view a, std::string_view b);
 
 /// Unified streaming record source over SAM or BAM (picked by ".bam"
 /// extension). `decode_threads` selects parallel BGZF inflate for BAM
@@ -92,11 +102,16 @@ class AlignmentInput {
   ~AlignmentInput();
 
   const sam::SamHeader& header() const;
-  bool next(sam::AlignmentRecord& rec);
+
+  /// Reads the next record as a RawRecord: BAM bodies are validated and
+  /// normalised (bam::normalize_record), SAM records encoded once.
+  bool next_raw(RawRecord& body);
 
  private:
   std::unique_ptr<bam::BamFileReader> bam_;
   std::unique_ptr<sam::SamFileReader> sam_;
+  std::string raw_;              // the body as stored (BAM) or encoded (SAM)
+  sam::AlignmentRecord record_;  // SAM: the parsed line
 };
 
 /// The external-merge engine: push records in any order, drain them in
@@ -118,7 +133,7 @@ class ExternalSorter {
 
   /// Buffers one record, spilling a run when the buffer is full. Rethrows
   /// the first background spill error, if any.
-  void push(sam::AlignmentRecord rec);
+  void push(RawRecord body);
 
   /// Forces the current buffer out as a run now (the collation stage calls
   /// this when its *bucket* memory, not the sorter's buffer, overflows).
@@ -129,7 +144,7 @@ class ExternalSorter {
   /// the runs. In-memory inputs are sorted and emitted directly; spilled
   /// inputs k-way merge the runs with the final buffer spilled as the last
   /// run. One-shot: push() after drain() is a usage error.
-  void drain(const std::function<void(sam::AlignmentRecord&&)>& emit);
+  void drain(const std::function<void(RawRecord&&)>& emit);
 
   uint64_t total() const { return total_; }
   bool spilled() const { return runs_created_ > 0; }
@@ -139,7 +154,7 @@ class ExternalSorter {
   uint64_t spilled_records() const {
     return spilled_records_.load(std::memory_order_relaxed);
   }
-  /// Compressed bytes across committed runs.
+  /// Bytes written to committed runs.
   uint64_t spilled_bytes() const {
     return spilled_bytes_.load(std::memory_order_relaxed);
   }
@@ -149,10 +164,9 @@ class ExternalSorter {
 
   sam::SamHeader header_;
   RecordLess less_;
-  SortOptions options_;
   std::string run_base_;       // "<dir>/<target filename>.<pid>.<token>"
   size_t buffer_cap_;
-  std::vector<sam::AlignmentRecord> buffer_;
+  std::vector<RawRecord> buffer_;
   std::vector<std::string> run_paths_;
   size_t runs_created_ = 0;
   uint64_t total_ = 0;

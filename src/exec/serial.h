@@ -22,6 +22,7 @@
 
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -82,12 +83,22 @@ class SerialStage {
           continue;  // poisoned: drain and discard the remaining jobs
         }
       }
+      std::exception_ptr error;
       try {
         (*job)();
       } catch (...) {
+        error = std::current_exception();
+      }
+      // Publish outside the catch block (as Pipeline<> does): the handler's
+      // own reference to the in-flight exception is released when the
+      // catch block ends, so it must end before the mutex hand-off. Then
+      // everything this thread did to the exception object happens-before
+      // the producer rethrowing it, and the last reference is never
+      // dropped here while the producer reads what().
+      if (error) {
         {
           std::lock_guard<std::mutex> lock(error_mu_);
-          error_ = std::current_exception();
+          error_ = std::move(error);
         }
         // Unblock producers: their next submit() fails and rethrows.
         jobs_.close();

@@ -229,11 +229,11 @@ size_t scan_aux(std::string_view bytes) {
     n += 3;
     switch (type) {
       case 'A':
-        r.skip(1);
+        r.read_bytes(1);
         n += 1;
         break;
       case 'c': case 'C': case 's': case 'S': case 'i': case 'I': case 'f':
-        r.skip(b_width(type));
+        r.read_bytes(b_width(type));
         n += 4;
         break;
       case 'Z':
@@ -248,8 +248,14 @@ size_t scan_aux(std::string_view bytes) {
           if (b_width(subtype) == 0) {
             throw FormatError("unknown B subtype in decode");
           }
-          const size_t elements = static_cast<size_t>(count) * b_width(subtype);
-          r.skip(elements);
+          const size_t width = b_width(subtype);
+          const size_t elements = static_cast<size_t>(count) * width;
+          if (elements > r.remaining()) {
+            // decode_aux reads element by element: fail where it does.
+            r.read_bytes(r.remaining() / width * width);
+            r.read_bytes(width);
+          }
+          r.read_bytes(elements);
           n += elements;
         }
         break;
@@ -317,6 +323,116 @@ char* normalize_aux(std::string_view bytes, char* dst) {
     }
   }
   return dst;
+}
+
+// ------------------------------------------------------------- raw bodies
+
+RecordShape scan_record(std::string_view body) {
+  // Mirrors decode_record's reads, so every truncation point and every
+  // rejected value throws the same FormatError here too.
+  ByteReader r(body);
+  RecordShape shape;
+  shape.ref_id = r.read<int32_t>();
+  shape.pos = r.read<int32_t>();
+  const uint32_t bin_mq_nl = r.read<uint32_t>();
+  const uint32_t flag_nc = r.read<uint32_t>();
+  const int32_t l_seq = r.read<int32_t>();
+  r.read<int32_t>();  // mate_ref_id
+  r.read<int32_t>();  // mate_pos
+  r.read<int32_t>();  // tlen
+
+  std::string_view name = r.read_bytes(bin_mq_nl & 0xFF);
+  if (name.empty() || name.back() != '\0') {
+    throw FormatError("BAM read name not NUL-terminated");
+  }
+  shape.qname_len = static_cast<uint32_t>(name.size() - 1);
+
+  shape.n_cigar = flag_nc & 0xFFFF;
+  for (uint32_t i = 0; i < shape.n_cigar; ++i) {
+    sam::cigar_op_char(r.read<uint32_t>() & 0xF);  // validates the op code
+  }
+
+  if (l_seq < 0) {
+    throw FormatError("negative BAM l_seq " + std::to_string(l_seq));
+  }
+  shape.seq_len = static_cast<uint32_t>(l_seq);
+  r.read_bytes((static_cast<size_t>(shape.seq_len) + 1) / 2);
+  r.read_bytes(shape.seq_len);
+
+  shape.aux_len = static_cast<uint32_t>(scan_aux(body.substr(r.pos())));
+  return shape;
+}
+
+void normalize_record(std::string_view body, std::string& out) {
+  const RecordShape shape = scan_record(body);
+  const size_t seq_at = 32 + shape.qname_len + 1 + 4ull * shape.n_cigar;
+  const size_t qual_at = seq_at + (shape.seq_len + 1ull) / 2;
+  const size_t aux_at = qual_at + shape.seq_len;
+  out.resize(aux_at + shape.aux_len);
+  char* p = out.data();
+  const char* in = body.data();
+
+  // Fixed fields, name, CIGAR and bases are kept; encode_record recomputes
+  // the bin from pos and the CIGAR.
+  std::memcpy(p, in, qual_at);
+  const int32_t end = shape.pos >= 0 ? RecordView(out).end_pos() : 0;
+  const uint16_t bin = static_cast<uint16_t>(
+      shape.pos >= 0 ? reg2bin(shape.pos, end) : 4680);
+  std::memcpy(p + 10, &bin, sizeof(bin));
+  if (shape.seq_len % 2 == 1) {
+    p[qual_at - 1] &= static_cast<char>(0xF0);  // zero the pad nibble
+  }
+  if (shape.seq_len > 0 && static_cast<uint8_t>(in[qual_at]) == 0xFF) {
+    std::memset(p + qual_at, 0xFF, shape.seq_len);  // absent qualities
+  } else {
+    std::memcpy(p + qual_at, in + qual_at, shape.seq_len);
+  }
+  normalize_aux(body.substr(aux_at), p + aux_at);
+}
+
+namespace {
+
+constexpr uint32_t kOpS = 4;  // soft clip, in "MIDNSHP=X"
+constexpr uint32_t kOpH = 5;  // hard clip
+
+bool is_clip(uint32_t word) {
+  return (word & 0xF) == kOpS || (word & 0xF) == kOpH;
+}
+
+}  // namespace
+
+int32_t RecordView::end_pos() const {
+  int64_t span = 0;
+  for (uint32_t i = 0; i < n_cigar(); ++i) {
+    const uint32_t word = cigar(i);
+    switch (word & 0xF) {
+      case 0: case 2: case 3: case 7: case 8:  // M D N = X
+        span += word >> 4;
+        break;
+      default:
+        break;
+    }
+  }
+  if (span == 0) {
+    span = 1;
+  }
+  return pos() + static_cast<int32_t>(span);
+}
+
+int32_t RecordView::unclipped_start() const {
+  int64_t clip = 0;
+  for (uint32_t i = 0; i < n_cigar() && is_clip(cigar(i)); ++i) {
+    clip += cigar(i) >> 4;
+  }
+  return static_cast<int32_t>(pos() - clip);
+}
+
+int32_t RecordView::unclipped_end() const {
+  int64_t clip = 0;
+  for (uint32_t i = n_cigar(); i > 0 && is_clip(cigar(i - 1)); --i) {
+    clip += cigar(i - 1) >> 4;
+  }
+  return static_cast<int32_t>(end_pos() + clip);
 }
 
 // ------------------------------------------------------------------- encode
@@ -455,6 +571,12 @@ void BamFileWriter::write(const sam::AlignmentRecord& rec) {
   scratch_.clear();
   encode_record(rec, scratch_);
   out_->write(scratch_);
+}
+
+void BamFileWriter::write_body(std::string_view body) {
+  const int32_t block_size = static_cast<int32_t>(body.size());
+  out_->write(&block_size, sizeof(block_size));
+  out_->write(body);
 }
 
 void BamFileWriter::close() { out_->close(); }

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -35,6 +36,86 @@ void encode_record(const sam::AlignmentRecord& rec, std::string& out);
 /// Decodes one BAM record from `data` (the record body, *without* the
 /// block_size field) into `rec`.
 void decode_record(std::string_view body, sam::AlignmentRecord& rec);
+
+/// What one validating walk over a raw BAM record body (the record without
+/// its block_size field, BamFileReader::next_raw) learns: its placement and
+/// the section lengths of its normalised form (normalize_record).
+struct RecordShape {
+  int32_t ref_id = -1;
+  int32_t pos = -1;
+  uint32_t qname_len = 0;  // excluding NUL
+  uint32_t n_cigar = 0;
+  uint32_t seq_len = 0;
+  uint32_t aux_len = 0;  // normalised aux bytes (scan_aux)
+};
+
+/// Walks the raw record `body` once without decoding it, validating it as
+/// decode_record does: throws FormatError, with decode_record's message,
+/// wherever that would.
+RecordShape scan_record(std::string_view body);
+
+/// Replaces `out` with the body encode_record(decode_record(body)) writes
+/// after its block_size, without building an AlignmentRecord: the bin is
+/// recomputed from pos and CIGAR, the odd pad nibble is zeroed, qualities
+/// whose first byte is 0xFF become an all-0xFF fill, and the aux section
+/// goes through normalize_aux. Validates like scan_record.
+void normalize_record(std::string_view body, std::string& out);
+
+/// Read-only field access to a normalised record body (normalize_record's
+/// output, or what encode_record writes after block_size) without decoding
+/// it: for code that sorts, pairs and filters records as raw bytes.
+class RecordView {
+ public:
+  explicit RecordView(std::string_view body) : body_(body) {}
+
+  int32_t ref_id() const { return field<int32_t>(0); }
+  int32_t pos() const { return field<int32_t>(4); }
+  uint16_t flag() const { return field<uint16_t>(14); }
+  /// The read name, without its NUL.
+  std::string_view qname() const {
+    return body_.substr(32, static_cast<uint8_t>(body_[8]) - 1u);
+  }
+  uint32_t n_cigar() const { return field<uint16_t>(12); }
+  /// Packed CIGAR word `i`: length << 4 | op code.
+  uint32_t cigar(uint32_t i) const {
+    return field<uint32_t>(cigar_at() + 4 * i);
+  }
+  uint32_t l_seq() const { return field<uint32_t>(16); }
+  /// Raw Phred scores, l_seq bytes (a leading 0xFF means absent).
+  std::string_view quals() const {
+    return body_.substr(cigar_at() + 4 * n_cigar() + (l_seq() + 1) / 2,
+                        l_seq());
+  }
+
+  /// As sam::AlignmentRecord::end_pos.
+  int32_t end_pos() const;
+
+  /// Alignment start extended back through leading soft/hard clips — the
+  /// position the read would start at had the aligner not clipped it. This
+  /// (with unclipped_end) is the coordinate duplicate marking keys on: PCR
+  /// duplicates of one fragment can differ in clipping but share unclipped
+  /// 5' ends. May be negative for reads clipped past the reference start.
+  int32_t unclipped_start() const;
+
+  /// Exclusive alignment end extended through trailing soft/hard clips.
+  int32_t unclipped_end() const;
+
+ private:
+  template <typename T>
+  T field(size_t offset) const {
+    T v;
+    std::memcpy(&v, body_.data() + offset, sizeof(v));
+    return v;
+  }
+  size_t cigar_at() const { return 32 + static_cast<uint8_t>(body_[8]); }
+
+  std::string_view body_;
+};
+
+/// Overwrites the flag word of the record body at `body` in place.
+inline void set_flag(char* body, uint16_t flag) {
+  std::memcpy(body + 14, &flag, sizeof(flag));
+}
 
 /// Size of `tags` in BAM aux encoding (every integer as 'i' int32), computed
 /// without encoding. Throws FormatError on an unknown type, and on an
@@ -77,6 +158,10 @@ class BamFileWriter {
                 OutputFile::Commit commit = OutputFile::Commit::kAtomic);
 
   void write(const sam::AlignmentRecord& rec);
+
+  /// Writes one record given as its normalised body (normalize_record):
+  /// the same bytes write() writes for the record it decodes to.
+  void write_body(std::string_view body);
 
   void close();
 

@@ -54,7 +54,7 @@ void BamxLayout::accommodate(const AlignmentRecord& rec) {
                      static_cast<uint32_t>(bam::aux_encoded_size(rec.tags)));
 }
 
-void BamxLayout::accommodate(const BamRecordShape& shape) {
+void BamxLayout::accommodate(const bam::RecordShape& shape) {
   max_qname = std::max(max_qname, shape.qname_len);
   max_cigar = std::max(max_cigar, shape.n_cigar);
   max_seq = std::max(max_seq, shape.seq_len);
@@ -123,41 +123,7 @@ void encode_record(const AlignmentRecord& rec, const BamxLayout& layout,
 
 // ---------------------------------------------------------------- transcode
 
-BamRecordShape scan_bam_record(std::string_view body) {
-  // Mirrors bam::decode_record's reads, so every truncation point and every
-  // rejected value throws FormatError here too.
-  ByteReader r(body);
-  BamRecordShape shape;
-  shape.ref_id = r.read<int32_t>();
-  shape.pos = r.read<int32_t>();
-  const uint32_t bin_mq_nl = r.read<uint32_t>();
-  const uint32_t flag_nc = r.read<uint32_t>();
-  const int32_t l_seq = r.read<int32_t>();
-  r.skip(12);  // mate_ref_id, mate_pos, tlen
-
-  std::string_view name = r.read_bytes(bin_mq_nl & 0xFF);
-  if (name.empty() || name.back() != '\0') {
-    throw FormatError("BAM read name not NUL-terminated");
-  }
-  shape.qname_len = static_cast<uint32_t>(name.size() - 1);
-
-  shape.n_cigar = flag_nc & 0xFFFF;
-  for (uint32_t i = 0; i < shape.n_cigar; ++i) {
-    sam::cigar_op_char(r.read<uint32_t>() & 0xF);  // validates the op code
-  }
-
-  if (l_seq < 0) {
-    throw FormatError("negative BAM l_seq " + std::to_string(l_seq));
-  }
-  shape.seq_len = static_cast<uint32_t>(l_seq);
-  r.read_bytes((static_cast<size_t>(shape.seq_len) + 1) / 2);
-  r.read_bytes(shape.seq_len);
-
-  shape.aux_len = static_cast<uint32_t>(bam::scan_aux(body.substr(r.pos())));
-  return shape;
-}
-
-void transcode_bam_record(std::string_view body, const BamRecordShape& shape,
+void transcode_bam_record(std::string_view body, const bam::RecordShape& shape,
                           const BamxLayout& layout, std::string& out) {
   if (!fits_lengths(layout, shape.qname_len, shape.n_cigar, shape.seq_len,
                     shape.aux_len)) {

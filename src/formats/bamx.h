@@ -20,22 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "formats/bam.h"
 #include "formats/sam.h"
 #include "util/binio.h"
 
 namespace ngsx::bamx {
-
-/// What one validating walk over a raw BAM record body (the record without
-/// its block_size field, bam::BamFileReader::next_raw) learns: the section
-/// lengths of the BAMX record it transcodes to, and its BAIX key.
-struct BamRecordShape {
-  int32_t ref_id = -1;
-  int32_t pos = -1;
-  uint32_t qname_len = 0;  // excluding NUL
-  uint32_t n_cigar = 0;
-  uint32_t seq_len = 0;
-  uint32_t aux_len = 0;  // BAMX aux bytes (bam::scan_aux)
-};
 
 /// Fixed per-file field capacities and the derived record stride/offsets.
 struct BamxLayout {
@@ -46,7 +35,7 @@ struct BamxLayout {
 
   /// Grows the capacities to accommodate `rec` (the measuring pass).
   void accommodate(const sam::AlignmentRecord& rec);
-  void accommodate(const BamRecordShape& shape);
+  void accommodate(const bam::RecordShape& shape);
 
   /// Merges another layout (used when combining per-rank measurements).
   void merge(const BamxLayout& other);
@@ -76,16 +65,12 @@ struct BamxLayout {
 void encode_record(const sam::AlignmentRecord& rec, const BamxLayout& layout,
                    std::string& out);
 
-/// Walks the raw BAM record `body` once without decoding it, validating it
-/// as bam::decode_record does: throws FormatError wherever that would.
-BamRecordShape scan_bam_record(std::string_view body);
-
 /// Transcodes the raw BAM record `body` straight into BAMX, appending
 /// exactly `layout.stride()` bytes to `out`: the bytes
 /// encode_record(bam::decode_record(body)) would produce, without building
-/// an AlignmentRecord. `shape` must be scan_bam_record(body). Throws
+/// an AlignmentRecord. `shape` must be bam::scan_record(body). Throws
 /// UsageError if the record does not fit the layout.
-void transcode_bam_record(std::string_view body, const BamRecordShape& shape,
+void transcode_bam_record(std::string_view body, const bam::RecordShape& shape,
                           const BamxLayout& layout, std::string& out);
 
 /// Re-encodes the record bytes `src` (exactly `from.stride()` bytes, encoded

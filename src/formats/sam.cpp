@@ -150,28 +150,6 @@ int32_t AlignmentRecord::end_pos() const {
   return pos + static_cast<int32_t>(span);
 }
 
-int32_t AlignmentRecord::unclipped_start() const {
-  int64_t clip = 0;
-  for (const CigarOp& op : cigar) {
-    if (op.op != 'S' && op.op != 'H') {
-      break;
-    }
-    clip += op.len;
-  }
-  return static_cast<int32_t>(pos - clip);
-}
-
-int32_t AlignmentRecord::unclipped_end() const {
-  int64_t clip = 0;
-  for (auto it = cigar.rbegin(); it != cigar.rend(); ++it) {
-    if (it->op != 'S' && it->op != 'H') {
-      break;
-    }
-    clip += it->len;
-  }
-  return static_cast<int32_t>(end_pos() + clip);
-}
-
 const AuxField* AlignmentRecord::find_tag(std::string_view tag) const {
   for (const AuxField& t : tags) {
     if (tag.size() == 2 && t.tag[0] == tag[0] && t.tag[1] == tag[1]) {

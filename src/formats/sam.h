@@ -184,16 +184,6 @@ struct AlignmentRecord {
   /// minimum span of 1 so unmapped-at-position records still bin sensibly).
   int32_t end_pos() const;
 
-  /// Alignment start extended back through leading soft/hard clips — the
-  /// position the read would start at had the aligner not clipped it. This
-  /// (with unclipped_end) is the coordinate duplicate marking keys on: PCR
-  /// duplicates of one fragment can differ in clipping but share unclipped
-  /// 5' ends. May be negative for reads clipped past the reference start.
-  int32_t unclipped_start() const;
-
-  /// Exclusive alignment end extended through trailing soft/hard clips.
-  int32_t unclipped_end() const;
-
   /// Pointer to the aux field with `tag`, or nullptr.
   const AuxField* find_tag(std::string_view tag) const;
 };

@@ -8,6 +8,7 @@
 
 #include "formats/bam.h"
 #include "formats/bamx.h"
+#include "formats/seqcodec.h"
 #include "simdata/readsim.h"
 #include "util/binio.h"
 #include "util/rng.h"
@@ -319,7 +320,7 @@ void expect_transcodes_like_round_trip(const std::string& body) {
   BamxLayout want_layout;
   want_layout.accommodate(rec);
 
-  const BamRecordShape shape = scan_bam_record(body);
+  const bam::RecordShape shape = bam::scan_record(body);
   BamxLayout layout;
   layout.accommodate(shape);
   ASSERT_EQ(layout, want_layout);
@@ -357,7 +358,7 @@ bool decode_accepts(const std::string& body) {
 }
 
 bool scan_accepts(const std::string& body) {
-  return accepts([&] { scan_bam_record(body); });
+  return accepts([&] { bam::scan_record(body); });
 }
 
 TEST(BamxTranscode, RandomBodiesMatchDecodeEncode) {
@@ -471,7 +472,7 @@ TEST(BamxTranscode, DecodeQuirksArePreserved) {
     ASSERT_TRUE(decode_accepts(body));
     expect_transcodes_like_round_trip(body);
   }
-  const BamRecordShape shape = scan_bam_record(negative.bytes());
+  const bam::RecordShape shape = bam::scan_record(negative.bytes());
   BamxLayout layout;
   layout.accommodate(shape);
   std::string out;
@@ -482,12 +483,177 @@ TEST(BamxTranscode, DecodeQuirksArePreserved) {
 
 TEST(BamxTranscode, RejectsLayoutTooSmall) {
   const std::string body = BamBody{}.bytes();
-  const BamRecordShape shape = scan_bam_record(body);
+  const bam::RecordShape shape = bam::scan_record(body);
   BamxLayout layout;
   layout.accommodate(shape);
   layout.max_seq -= 1;
   std::string out;
   EXPECT_THROW(transcode_bam_record(body, shape, layout, out), UsageError);
+}
+
+// ---------------------------------------------------- BAM normalisation
+//
+// bam::normalize_record (and the RecordView over its output) against its
+// definition, encode_record(decode_record(body)). These share the random
+// body generator above.
+
+/// What decode + encode leaves of `body`, without the block_size.
+std::string round_trip(const std::string& body) {
+  AlignmentRecord rec;
+  bam::decode_record(body, rec);
+  std::string out;
+  bam::encode_record(rec, out);
+  return out.substr(sizeof(int32_t));
+}
+
+/// The FormatError message `fn` throws, or "" when it returns.
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+    return "";
+  } catch (const FormatError& e) {
+    return e.what();
+  }
+}
+
+std::string decode_error(const std::string& body) {
+  AlignmentRecord rec;
+  return error_of([&] { bam::decode_record(body, rec); });
+}
+
+std::string normalize_error(const std::string& body) {
+  std::string out;
+  return error_of([&] { bam::normalize_record(body, out); });
+}
+
+/// random_body with CIGAR lengths below 2^16, so pos + reference span stays
+/// inside int32 and encode_record's bin is well defined.
+BamBody random_placed_body(Rng& rng, size_t i) {
+  BamBody b = random_body(rng, i);
+  for (uint32_t& word : b.cigar) {
+    word = (word >> 4 & 0xFFFF) << 4 | (word & 0xF);
+  }
+  return b;
+}
+
+void expect_normalizes_like_round_trip(const std::string& body) {
+  const std::string want = round_trip(body);
+  std::string got = "stale";  // replaced, not appended to
+  bam::normalize_record(body, got);
+  ASSERT_EQ(got, want);
+  std::string again;
+  bam::normalize_record(got, again);
+  EXPECT_EQ(again, got);  // normalised bodies are a fixed point
+
+  AlignmentRecord rec;
+  bam::decode_record(body, rec);
+  const bam::RecordView view(got);
+  EXPECT_EQ(view.ref_id(), rec.ref_id);
+  EXPECT_EQ(view.pos(), rec.pos);
+  EXPECT_EQ(view.flag(), rec.flag);
+  EXPECT_EQ(view.qname(), rec.qname);
+  EXPECT_EQ(view.n_cigar(), rec.cigar.size());
+  EXPECT_EQ(view.l_seq(), rec.seq.size());
+  EXPECT_EQ(view.end_pos(), rec.end_pos());
+  int64_t lead = 0;  // soft/hard clips before the first other op
+  for (size_t k = 0; k < rec.cigar.size() &&
+                     (rec.cigar[k].op == 'S' || rec.cigar[k].op == 'H');
+       ++k) {
+    lead += rec.cigar[k].len;
+  }
+  int64_t trail = 0;  // and after the last
+  for (size_t k = rec.cigar.size(); k > 0 && (rec.cigar[k - 1].op == 'S' ||
+                                              rec.cigar[k - 1].op == 'H');
+       --k) {
+    trail += rec.cigar[k - 1].len;
+  }
+  EXPECT_EQ(view.unclipped_start(), static_cast<int32_t>(rec.pos - lead));
+  EXPECT_EQ(view.unclipped_end(),
+            static_cast<int32_t>(rec.end_pos() + trail));
+  if (!rec.qual.empty()) {
+    std::string ascii;
+    seqcodec::quals_to_ascii(view.quals().data(), view.quals().size(), ascii);
+    EXPECT_EQ(ascii, rec.qual);
+  }
+}
+
+TEST(BamNormalize, RandomBodiesMatchDecodeEncode) {
+  // Covers every aux type (c/C/s/S/I widen to i), stale bins, 0xFF-led
+  // qualities with a non-0xFF tail, odd pad nibbles and interior NULs.
+  Rng rng(20142);
+  for (size_t i = 0; i < 2000; ++i) {
+    SCOPED_TRACE("body " + std::to_string(i));
+    expect_normalizes_like_round_trip(random_placed_body(rng, i).bytes());
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(BamNormalize, EdgeBodiesMatchDecodeEncode) {
+  std::vector<BamBody> bodies(7);
+  bodies[0].aux = aux_field("Xc", 'c', int8_t{-128}) +
+                  aux_field("XC", 'C', uint8_t{255}) +
+                  aux_field("Xs", 's', int16_t{-32768}) +
+                  aux_field("XS", 'S', uint16_t{65535});
+  bodies[1].bin = 0;  // stale: the 4-base alignment at 100 is bin 4681
+  bodies[2].pos = -1;  // unplaced: bin 4680 whatever the CIGAR says
+  bodies[2].bin = 4681;
+  bodies[3].qual = "\xFF\x01\x02\x03";  // absent quals, non-0xFF tail
+  bodies[4].l_seq = 3;  // odd, with a non-zero pad nibble
+  bodies[4].seq = "\x12\x4F";
+  bodies[4].qual = "\x05\x06\x07";
+  bodies[5].cigar = {(2u << 4) | 4, (3u << 4) | 5, (4u << 4) | 0,
+                     (1u << 4) | 5};  // 2S3H4M1H: clipped at both ends
+  bodies[6].cigar.clear();  // no CIGAR: end_pos is pos + 1
+  bodies[6].l_seq = 0;
+  bodies[6].seq.clear();
+  bodies[6].qual.clear();
+  for (size_t i = 0; i < bodies.size(); ++i) {
+    SCOPED_TRACE("body " + std::to_string(i));
+    expect_normalizes_like_round_trip(bodies[i].bytes());
+  }
+  std::string out;
+  bam::normalize_record(bodies[1].bytes(), out);
+  EXPECT_EQ(out.substr(10, 2), std::string("\x49\x12", 2));  // 4681 LE
+}
+
+TEST(BamNormalize, TruncatedAndMalformedBodiesThrowDecodesMessage) {
+  Rng rng(8);
+  for (size_t i = 0; i < 30; ++i) {
+    BamBody b = random_placed_body(rng, i);
+    b.aux += random_aux_field(rng, 'B', 's');
+    const std::string body = b.bytes();
+    for (size_t n = 0; n < body.size(); ++n) {
+      SCOPED_TRACE("body " + std::to_string(i) + " cut at " +
+                   std::to_string(n));
+      const std::string cut = body.substr(0, n);
+      ASSERT_EQ(normalize_error(cut), decode_error(cut));
+    }
+  }
+  std::vector<std::pair<std::string, std::string>> cases;
+  BamBody b;
+  b.cigar.push_back((3u << 4) | 9);
+  cases.emplace_back("cigar op 9", b.bytes());
+  b.cigar.pop_back();
+  b.aux = "XZZabc";
+  cases.emplace_back("unterminated Z", b.bytes());
+  b.aux = aux_array("XB", 'q', 1, "");
+  cases.emplace_back("unknown B subtype, count 1", b.bytes());
+  b.aux = aux_array("XB", 'I', 3, "\x01\x02\x03\x04\x05");
+  cases.emplace_back("B array short of its count", b.bytes());
+  b.aux = "XXq\x01";
+  cases.emplace_back("unknown aux type", b.bytes());
+  b.aux.clear();
+  b.l_seq = -1;
+  cases.emplace_back("negative l_seq", b.bytes());
+  for (const auto& [what, body] : cases) {
+    SCOPED_TRACE(what);
+    const std::string want = decode_error(body);
+    EXPECT_NE(want, "");
+    EXPECT_EQ(normalize_error(body), want);
+  }
 }
 
 // -------------------------------------------------------------- file layer

@@ -20,6 +20,7 @@
 #include "formats/bamx.h"
 #include "formats/baix2.h"
 #include "formats/sam.h"
+#include "obs/metrics.h"
 #include "simdata/readsim.h"
 #include "util/tempdir.h"
 
@@ -107,7 +108,20 @@ CollateOptions width_options(int width, bool spill,
   return options;
 }
 
-/// Event recorder: collects what the stage emitted.
+/// `rec` as the raw body the collation stage carries.
+RawRecord raw(const AlignmentRecord& rec) {
+  std::string out;
+  bam::encode_record(rec, out);
+  return out.substr(sizeof(int32_t));  // drop block_size
+}
+
+AlignmentRecord decoded(const RawRecord& body) {
+  AlignmentRecord rec;
+  bam::decode_record(body, rec);
+  return rec;
+}
+
+/// Event recorder: collects what the stage emitted, decoded.
 struct Recorder {
   std::vector<std::pair<AlignmentRecord, AlignmentRecord>> pairs;
   std::vector<AlignmentRecord> orphans;
@@ -116,17 +130,13 @@ struct Recorder {
 
   CollateEvents events() {
     CollateEvents ev;
-    ev.on_pair = [this](AlignmentRecord&& a, AlignmentRecord&& b) {
-      pairs.emplace_back(std::move(a), std::move(b));
+    ev.on_pair = [this](RawRecord&& a, RawRecord&& b) {
+      pairs.emplace_back(decoded(a), decoded(b));
     };
-    ev.on_orphan = [this](AlignmentRecord&& r) {
-      orphans.push_back(std::move(r));
-    };
-    ev.on_single = [this](AlignmentRecord&& r) {
-      singles.push_back(std::move(r));
-    };
-    ev.on_passthrough = [this](AlignmentRecord&& r) {
-      passthrough.push_back(std::move(r));
+    ev.on_orphan = [this](RawRecord&& r) { orphans.push_back(decoded(r)); };
+    ev.on_single = [this](RawRecord&& r) { singles.push_back(decoded(r)); };
+    ev.on_passthrough = [this](RawRecord&& r) {
+      passthrough.push_back(decoded(r));
     };
     return ev;
   }
@@ -142,11 +152,11 @@ TEST(CollateStage, PairsCompleteInMemory) {
     auto [r1, r2] = make_pair("p" + std::to_string(i), 100 + i, 400 + i);
     // Mate arrives out of order half the time.
     if (i % 2 == 0) {
-      stage.push(r1);
-      stage.push(r2);
+      stage.push(raw(r1));
+      stage.push(raw(r2));
     } else {
-      stage.push(r2);
-      stage.push(r1);
+      stage.push(raw(r2));
+      stage.push(raw(r1));
     }
   }
   stage.finish();
@@ -171,10 +181,10 @@ TEST(CollateStage, SecondarySupplementaryExcludedFromPairing) {
   secondary.flag |= sam::kSecondary;
   AlignmentRecord supplementary = r2;
   supplementary.flag |= sam::kSupplementary;
-  stage.push(r1);
-  stage.push(secondary);      // must NOT pair with the pending r1
-  stage.push(supplementary);  // ditto
-  stage.push(r2);             // this one pairs
+  stage.push(raw(r1));
+  stage.push(raw(secondary));      // must NOT pair with the pending r1
+  stage.push(raw(supplementary));  // ditto
+  stage.push(raw(r2));             // this one pairs
   stage.finish();
   ASSERT_EQ(rec.pairs.size(), 1u);
   EXPECT_EQ(rec.pairs[0].first.flag, r1.flag);
@@ -194,9 +204,9 @@ TEST(CollateStage, SinglesAndOrphans) {
   single.pos = 50;
   single.cigar = sam::parse_cigar("50M");
   single.seq = std::string(50, 'G');
-  stage.push(single);
+  stage.push(raw(single));
   auto [r1, r2] = make_pair("widow", 100, 400);
-  stage.push(r1);  // r2 never arrives
+  stage.push(raw(r1));  // r2 never arrives
   stage.finish();
   ASSERT_EQ(rec.singles.size(), 1u);
   EXPECT_EQ(rec.singles[0].qname, "unpaired");
@@ -224,8 +234,8 @@ TEST(CollateStage, SpillReunitesMatesAcrossManyRuns) {
   options.max_records_in_memory = 8;
   options.temp_dir = tmp.path();
   CollateStage stage(test_header(), tmp.file("spill"), rec.events(), options);
-  for (auto& r : input) {
-    stage.push(std::move(r));
+  for (const auto& r : input) {
+    stage.push(raw(r));
   }
   stage.finish();
   EXPECT_GT(stage.stats().spill_runs, 2u);  // well past two runs
@@ -251,9 +261,9 @@ TEST(CollateStage, MalformedDuplicateRankBecomesOrphan) {
   auto [r1, r2] = make_pair("twice", 100, 400);
   AlignmentRecord r1_again = r1;
   r1_again.pos = 111;
-  stage.push(r1);
-  stage.push(r1_again);  // same name, same rank: malformed input
-  stage.push(r2);
+  stage.push(raw(r1));
+  stage.push(raw(r1_again));  // same name, same rank: malformed input
+  stage.push(raw(r2));
   stage.finish();
   ASSERT_EQ(rec.pairs.size(), 1u);
   EXPECT_EQ(rec.pairs[0].first.pos, 100);
@@ -298,7 +308,8 @@ TEST(CollateToBam, NameGroupedOutput) {
       ++j;
     }
     for (size_t k = i + 1; k < j; ++k) {
-      EXPECT_LE(pairing_rank(output[k - 1]), pairing_rank(output[k]));
+      EXPECT_LE(pairing_rank(output[k - 1].flag),
+                pairing_rank(output[k].flag));
     }
     i = j;
   }
@@ -670,17 +681,74 @@ TEST(ForEachRecord, ParallelParseMatchesSerial) {
   std::string in = write_simulated(tmp, 300, 11);
   CollateOptions serial;
   serial.parse_threads = 1;
-  std::vector<AlignmentRecord> a;
+  std::vector<RawRecord> a;
   for_each_record(in, serial,
-                  [&](AlignmentRecord&& rec) { a.push_back(std::move(rec)); });
+                  [&](RawRecord&& body) { a.push_back(std::move(body)); });
   CollateOptions parallel;
   parallel.parse_threads = 4;
   parallel.record_batch = 37;  // uneven batches across the pipeline
-  std::vector<AlignmentRecord> b;
+  std::vector<RawRecord> b;
   for_each_record(in, parallel,
-                  [&](AlignmentRecord&& rec) { b.push_back(std::move(rec)); });
+                  [&](RawRecord&& body) { b.push_back(std::move(body)); });
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a, b);
+}
+
+TEST(ForEachRecord, ReadAheadFitsAnEighthOfTheBudget) {
+  // Records parsed but not yet handed to the consumer stay within an
+  // eighth of the record budget at every width, budget and batch cap.
+  for (size_t budget : {2, 8, 16, 40, 64, 100, 3000, 100000, 1000000}) {
+    for (int width : {1, 2, 4, 8}) {
+      for (size_t batch : {1, 37, 4096}) {
+        SCOPED_TRACE(std::to_string(budget) + " records, width " +
+                     std::to_string(width) + ", batch " +
+                     std::to_string(batch));
+        CollateOptions options;
+        options.max_records_in_memory = budget;
+        options.parse_threads = width;
+        options.record_batch = batch;
+        const ParsePlan plan = parse_plan(options);
+        if (plan.workers == 1) {
+          EXPECT_EQ(plan.in_flight(), 1u);
+          EXPECT_TRUE(width == 1 || budget / 8 <= static_cast<size_t>(width));
+          continue;
+        }
+        EXPECT_EQ(plan.workers, width);
+        EXPECT_GE(plan.window, 1u);
+        EXPECT_LE(plan.window, 2u * width + 4);
+        EXPECT_LE(plan.batch, batch);
+        EXPECT_LE(plan.in_flight(), budget / 8);
+      }
+    }
+  }
+
+  // for_each_record parses in the plan's batches: one pipeline ticket per
+  // batch, with the records in file order.
+  TempDir tmp;
+  std::string in = write_simulated(tmp, 300, 13);
+  CollateOptions options;
+  options.parse_threads = 4;
+  options.max_records_in_memory = 400;
+  const ParsePlan plan = parse_plan(options);
+  ASSERT_EQ(plan.workers, 4);
+  EXPECT_LE(plan.in_flight(), 50u);
+  obs::enable_metrics();
+  obs::reset_metrics();
+  std::vector<RawRecord> parallel;
+  for_each_record(in, options, [&](RawRecord&& body) {
+    parallel.push_back(std::move(body));
+  });
+  const uint64_t tickets =
+      obs::snapshot().counter_value("exec.pipeline.tickets");
+  obs::enable_metrics(false);
+  obs::reset_metrics();
+  EXPECT_EQ(tickets, (parallel.size() + plan.batch - 1) / plan.batch);
+  options.parse_threads = 1;
+  std::vector<RawRecord> serial;
+  for_each_record(in, options, [&](RawRecord&& body) {
+    serial.push_back(std::move(body));
+  });
+  EXPECT_EQ(parallel, serial);
 }
 
 }  // namespace
