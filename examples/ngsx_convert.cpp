@@ -56,8 +56,11 @@ int usage(const char* prog) {
                "          [--metrics-interval SEC] [--trace FILE.json]\n"
                "FORMAT: sam bam bed bedgraph fasta fastq json yaml\n"
                "--ranks 0 / --threads 0 / --decode-threads 0 auto-detect\n"
-               "the hardware width; --decode-threads sets the BGZF inflate\n"
-               "workers used while reading BAM input\n"
+               "the hardware width. All parallel work runs on one pool of\n"
+               "hardware-width threads; --threads (dynamic schedule),\n"
+               "--decode-threads (BGZF inflate while reading BAM input) and\n"
+               "--preprocess-threads cap how many of a stage's tasks run\n"
+               "at once, they start no threads\n"
                "--preprocess-threads sets the BAM preprocessing width and\n"
                "shard count (0 = auto); --preprocess --m M preprocesses SAM\n"
                "input over M ranks. Both write DIR/input.bamxm (a BAMXM\n"
@@ -76,7 +79,7 @@ int usage(const char* prog) {
                "caps in-memory records before spilling, --temp-dir DIR\n"
                "redirects spill runs, --no-orphans drops orphaned mates\n"
                "from FASTQ export; --threads T is the collation width:\n"
-               "record-parse workers and BGZF deflate workers for the BAM\n"
+               "record-parse and BGZF deflate tasks at once for the BAM\n"
                "output (0 = auto)\n",
                prog);
   return 2;
@@ -265,7 +268,7 @@ int main(int argc, char** argv) {
             : resolve_width("ranks", args.get_int("ranks", 4), auto_width);
     options.schedule = core::parse_schedule(args.get("schedule", "static"));
     if (args.has("threads")) {
-      // Absent: options.threads stays 0, meaning "pool width = ranks".
+      // Absent: options.threads stays 0, meaning "width = ranks".
       options.threads = resolve_width("threads", args.get_int("threads", 0),
                                       auto_width);
     }

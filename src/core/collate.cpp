@@ -265,9 +265,9 @@ ParsePlan parse_plan(const CollateOptions& options) {
   // records in flight fit the share.
   const size_t full_window = 2 * static_cast<size_t>(width) + 4;
   plan.workers = width;
-  plan.batch = std::clamp<size_t>(share / (full_window + width), 1,
+  plan.batch = std::clamp<size_t>(share / (full_window + 1), 1,
                                   std::max<size_t>(1, options.record_batch));
-  plan.window = std::min(full_window, share / plan.batch - width);
+  plan.window = std::min(full_window, share / plan.batch - 1);
   return plan;
 }
 
@@ -285,24 +285,32 @@ void for_each_record(const std::string& path, const CollateOptions& options,
 
   // Parallel BAM record parse: batches of raw record bodies fan out to the
   // pool to be validated and normalised, and commit strictly in file order.
+  // A batch travels packed in one buffer, so the framing thread does not
+  // allocate per record.
+  struct RawBatch {
+    std::string bytes;
+    std::vector<uint32_t> sizes;
+  };
   bam::BamFileReader reader(path, options.decode_threads);
-  exec::Pool pool(plan.workers);
+  std::string body;
   exec::PipelineOptions pipeline;
+  pipeline.workers = plan.workers;
   pipeline.window = plan.window;
-  exec::ordered_pipeline<std::vector<std::string>, std::vector<RawRecord>>(
-      pool,
-      [&](std::vector<std::string>& bodies) {
-        bodies.clear();
-        std::string body;
-        while (bodies.size() < plan.batch && reader.next_raw(body)) {
-          bodies.push_back(std::move(body));
+  exec::ordered_pipeline<RawBatch, std::vector<RawRecord>>(
+      exec::process_pool(),
+      [&](RawBatch& batch) {
+        while (batch.sizes.size() < plan.batch && reader.next_raw(body)) {
+          batch.sizes.push_back(static_cast<uint32_t>(body.size()));
+          batch.bytes += body;
         }
-        return !bodies.empty();
+        return !batch.sizes.empty();
       },
-      [](std::vector<std::string>&& bodies, uint64_t) {
-        std::vector<RawRecord> out(bodies.size());
-        for (size_t i = 0; i < bodies.size(); ++i) {
-          bam::normalize_record(bodies[i], out[i]);
+      [](RawBatch&& batch, uint64_t) {
+        std::vector<RawRecord> out(batch.sizes.size());
+        std::string_view bytes(batch.bytes);
+        for (size_t i = 0; i < out.size(); ++i) {
+          bam::normalize_record(bytes.substr(0, batch.sizes[i]), out[i]);
+          bytes.remove_prefix(batch.sizes[i]);
         }
         return out;
       },

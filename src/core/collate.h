@@ -68,14 +68,15 @@ struct CollateOptions {
   /// Directory for spill runs; empty = alongside the output.
   std::string temp_dir;
 
-  /// BGZF inflate threads for BAM input (0 = auto, 1 = sequential).
+  /// BGZF inflates at once for BAM input (0 = auto, 1 = sequential).
   int decode_threads = 1;
 
-  /// The collation width (0 = auto = hardware width). Record parse: BAM
-  /// record bodies are validated and normalised on an
-  /// exec::ordered_pipeline when > 1 and the budget allows (ParsePlan),
-  /// and the consumer always sees records strictly in file order. Compression: BAM outputs are deflated on this
-  /// many workers (SortOptions::threads). Neither changes a byte of output.
+  /// The collation width (0 = auto = hardware width), in tasks at once on
+  /// the process pool. Record parse: BAM record bodies are validated and
+  /// normalised on an exec::ordered_pipeline when > 1 and the budget
+  /// allows (ParsePlan), and the consumer sees them in file order.
+  /// Compression: BAM outputs deflate this many blocks at once
+  /// (SortOptions::threads). Neither changes a byte of output.
   int parse_threads = 1;
 
   /// Most raw record bodies per parse-pipeline batch; smaller budgets get
@@ -166,11 +167,9 @@ struct ParsePlan {
   size_t batch = 1;
   size_t window = 1;
 
-  /// Window tickets, one claimed past the window per other worker (see
-  /// exec::PipelineOptions::window), and the batch at the consumer.
-  size_t in_flight() const {
-    return workers == 1 ? 1 : (window + workers) * batch;
-  }
+  /// Window tickets (exec::PipelineOptions::window) and the batch at the
+  /// consumer.
+  size_t in_flight() const { return workers == 1 ? 1 : (window + 1) * batch; }
 };
 
 ParsePlan parse_plan(const CollateOptions& options);

@@ -1,5 +1,7 @@
 #include "core/convert.h"
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <functional>
@@ -227,20 +229,16 @@ struct ChunkResult {
 };
 
 /// Runs `chunks` (listed in global record order, grouped by part) through
-/// an exec::Pool ordered pipeline: `parse` runs on the pool with dynamic
-/// chunk claiming, the commit stage feeds each part's records — strictly
-/// in chunk order — into that part's TargetWriter. Because the part record
-/// ranges equal the static schedule's, the part files come out
+/// an ordered pipeline on the process pool: `parse` runs on the pool with
+/// dynamic chunk claiming, the commit stage feeds each part's records —
+/// strictly in chunk order — into that part's TargetWriter. Because the
+/// part record ranges equal the static schedule's, the part files come out
 /// byte-identical to static mode; only the execution schedule differs.
 ConvertStats run_dynamic_chunks(
     const std::vector<Chunk>& chunks, int n_parts,
     const std::string& out_dir, const ConvertOptions& options,
     const SamHeader& header,
     const std::function<ChunkResult(const Chunk&)>& parse) {
-  const int pool_threads =
-      options.threads > 0 ? options.threads : options.ranks;
-  exec::Pool pool(pool_threads);
-
   std::vector<LocalStats> locals(static_cast<size_t>(n_parts));
   std::vector<std::string> outputs(static_cast<size_t>(n_parts));
   std::vector<bool> opened(static_cast<size_t>(n_parts), false);
@@ -265,10 +263,10 @@ ConvertStats run_dynamic_chunks(
 
   size_t cursor = 0;
   exec::PipelineOptions popt;
-  popt.workers = pool_threads;
+  popt.workers = options.threads > 0 ? options.threads : options.ranks;
 
   exec::ordered_pipeline<Chunk, ChunkResult>(
-      pool,
+      exec::process_pool(),
       [&](Chunk& chunk) {
         if (cursor >= chunks.size()) {
           return false;
@@ -353,20 +351,21 @@ struct DatasetPaths {
 };
 
 /// Publishes a dataset whose shards are all committed: merges the sorted
-/// BAIX runs on `pool`, saves the BAIX, and saves the manifest last, so a
-/// reader can never observe a manifest whose shards or index are missing.
+/// BAIX runs on the process pool, saves the BAIX, and saves the manifest
+/// last, so a reader can never observe a manifest whose shards or index
+/// are missing.
 /// `runs` must be in record order (each run's indices below the next
 /// run's); std::merge takes the left run on ties, so the merged index
 /// equals BaixIndex::from_entries' stable sort over all entries.
 void publish_dataset(std::vector<std::vector<bamx::BaixEntry>> runs,
                      const bamx::BamxManifest& manifest,
                      const std::string& manifest_path,
-                     const std::string& baix_path, exec::Pool& pool) {
+                     const std::string& baix_path) {
   {
     obs::Span span("convert", "preprocess.index");
     while (runs.size() > 1) {
       std::vector<std::vector<bamx::BaixEntry>> next((runs.size() + 1) / 2);
-      exec::TaskGroup group(pool);
+      exec::TaskGroup group(exec::process_pool());
       for (size_t i = 0; i + 1 < runs.size(); i += 2) {
         group.spawn([&, i] {
           std::vector<bamx::BaixEntry> merged;
@@ -525,7 +524,6 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
       std::max<uint64_t>(options.chunk_records, 1);
   const DatasetPaths paths(manifest_path);
 
-  exec::Pool pool(threads);
   bam::BamFileReader reader(bam_path, options.decode_threads);
   const SamHeader header = reader.header();
 
@@ -576,7 +574,7 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
       exec::PipelineOptions popt;
       popt.workers = threads;
       exec::ordered_pipeline<RawChunk, EncodedChunk>(
-          pool,
+          exec::process_pool(),
           [&](RawChunk& chunk) {
             obs::Span frame_span("convert", "preprocess.frame");
             std::string body;
@@ -659,7 +657,7 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
   {
     obs::Span span("convert", "preprocess.restride");
     InputFile staged(staging_path);
-    exec::TaskGroup group(pool);
+    exec::TaskGroup group(exec::process_pool());
     for (int s = 0; s < n_shards; ++s) {
       group.spawn([&, s] {
         auto [lo, hi] = shard_ranges[static_cast<size_t>(s)];
@@ -701,10 +699,14 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
 
   // Stage 2b — merge the per-chunk sorted BAIX runs (ticket order is
   // record order) on the pool, then publish the index and the manifest.
-  publish_dataset(std::move(runs), manifest, manifest_path, baix_path, pool);
+  publish_dataset(std::move(runs), manifest, manifest_path, baix_path);
   stats.bytes_out = dataset_bytes(paths, manifest, manifest_path, baix_path);
   stats.seconds = timer.seconds();
   record_preprocess_stats(stats);
+  // The chunk buffers were allocated and freed on the process pool's
+  // workers, whose malloc arenas outlive this pass and are not reused by
+  // the conversion's rank threads: hand the free pages back now.
+  malloc_trim(0);
   return stats;
 }
 
@@ -1029,9 +1031,7 @@ PreprocessStats preprocess_sam_parallel(const std::string& sam_path,
     // the gather, and nothing is published).
     auto runs = comm.gather_vectors(0, run);
     if (rank == 0) {
-      exec::Pool pool(1);
-      publish_dataset(std::move(runs), manifest, manifest_path, baix_path,
-                      pool);
+      publish_dataset(std::move(runs), manifest, manifest_path, baix_path);
     }
     if (rank == 0 || !mpi::ranks_share_address_space()) {
       published = std::move(manifest);

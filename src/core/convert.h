@@ -55,10 +55,10 @@ Region parse_region(std::string_view text, const sam::SamHeader& header);
 /// kStatic is the paper's scheme: one fixed byte/record range per rank,
 /// no coordination after partitioning. kDynamic keeps the *same* N part
 /// files (same record ranges, byte-identical output) but subdivides each
-/// part into many chunks and feeds them through an exec::Pool ordered
-/// pipeline, so a skewed input (hot chromosome, variable record density)
-/// rebalances onto idle workers instead of serializing on the slowest
-/// rank.
+/// part into many chunks and feeds them through an ordered pipeline on
+/// the process pool, so a skewed input (hot chromosome, variable record
+/// density) rebalances onto idle workers instead of serializing on the
+/// slowest rank.
 enum class Schedule {
   kStatic,
   kDynamic,
@@ -76,9 +76,9 @@ struct ConvertOptions {
   size_t record_batch = 4096;          // BAMX records fetched per pread
   bool include_header = true;          // SAM/BAM part files carry a header
   Schedule schedule = Schedule::kStatic;
-  int threads = 0;                     // dynamic pool width; 0 => ranks
+  int threads = 0;                     // dynamic schedule width; 0 => ranks
   size_t chunk_bytes = 1 << 20;        // dynamic SAM chunk target size
-  int decode_threads = 0;              // BGZF inflate workers; 0 => auto
+  int decode_threads = 0;              // BGZF inflates at once; 0 => auto
 };
 
 /// Aggregate statistics of one conversion run.
@@ -118,22 +118,23 @@ ConvertStats convert_sam(const std::string& sam_path,
 
 /// Options for the single-pass parallel BAM preprocessor.
 struct PreprocessOptions {
-  int threads = 0;         // parse+encode pipeline workers; 0 => hardware
-  int decode_threads = 0;  // BGZF inflate workers; 0 => auto
+  int threads = 0;         // parse+encode tasks at once; 0 => hardware
+  int decode_threads = 0;  // BGZF inflates at once; 0 => auto
   int shards = 0;          // M output shards; 0 => threads
   size_t chunk_records = 4096;  // records per pipeline ticket
 };
 
 /// Single-pass parallel preprocessing: BAM -> M BAMX shards + BAMXM
 /// manifest + merged BAIX. Record framing stays serial (the §III-B
-/// constraint) but runs once, feeding an exec::ordered_pipeline whose
-/// workers parse and encode chunks under chunk-local layouts; the ordered
-/// committer stages the chunk blobs and merges the global layout, and a
-/// final parallel pass re-strides the staged records into M shards carrying
-/// the global layout while the per-chunk sorted BAIX runs are merged on the
-/// pool. The published BAMX record bytes and BAIX are bit-identical to a
-/// sequential encode of every record under the global layout (the shards
-/// concatenate to its data section), whatever the width or shard count.
+/// constraint) but runs once, on the calling thread, feeding an
+/// exec::ordered_pipeline on the process pool whose tasks parse and encode
+/// chunks under chunk-local layouts; the ordered commit stages the chunk
+/// blobs and merges the global layout, and a final parallel pass
+/// re-strides the staged records into M shards carrying the global layout
+/// while the per-chunk sorted BAIX runs are merged on the pool. The
+/// published BAMX record bytes and BAIX are bit-identical to a sequential
+/// encode of every record under the global layout (the shards concatenate
+/// to its data section), whatever the width or shard count.
 /// `threads` = 1 runs the same single pass at width 1.
 ///
 /// Writes `manifest_path` (must end in ".bamxm"), shards named

@@ -95,6 +95,10 @@ std::atomic<uint64_t> g_run_token{0};
 /// bodies and against level 6).
 constexpr int kSpillLevel = 0;
 
+/// Most runs one merge reads at once, a reader each; more are pre-merged
+/// in groups first, so merge memory stays flat as the input grows.
+constexpr size_t kMaxFanIn = 16;
+
 }  // namespace
 
 ExternalSorter::ExternalSorter(SamHeader header,
@@ -183,6 +187,37 @@ void ExternalSorter::drain(const std::function<void(RawRecord&&)>& emit) {
   flush_run();  // the final partial buffer becomes the last run
   spill_stage_.finish();  // every run committed (or the first error throws)
 
+  // Cap the fan-in: merge contiguous groups of runs, oldest first, into
+  // one run each. A merged run keeps its group's place in the run order,
+  // so the run-index tie-break still follows input order: same bytes.
+  for (size_t pass = 0; run_paths_.size() > kMaxFanIn; ++pass) {
+    std::vector<std::string> inputs = run_paths_;
+    std::vector<std::string> merged;
+    for (size_t begin = 0; begin < inputs.size(); begin += kMaxFanIn) {
+      const size_t end = std::min(inputs.size(), begin + kMaxFanIn);
+      std::string path = run_base_ + ".merge" + std::to_string(pass) + "." +
+                         std::to_string(merged.size()) + ".tmp.bam";
+      run_paths_.push_back(path);  // removed with the rest on failure
+      bam::BamFileWriter run(path, header_, kSpillLevel, 1,
+                             OutputFile::Commit::kDirect);
+      merge_runs({inputs.begin() + static_cast<std::ptrdiff_t>(begin),
+                  inputs.begin() + static_cast<std::ptrdiff_t>(end)},
+                 [&](RawRecord&& body) { run.write_body(body); });
+      run.close();
+      merged.push_back(std::move(path));
+    }
+    run_paths_ = std::move(inputs);
+    remove_runs();
+    run_paths_ = std::move(merged);
+  }
+
+  NGSX_CHECK_MSG(merge_runs(run_paths_, emit) == total_, "merge lost records");
+  remove_runs();
+}
+
+uint64_t ExternalSorter::merge_runs(
+    const std::vector<std::string>& runs,
+    const std::function<void(RawRecord&&)>& emit) const {
   // K-way merge on a binary heap of run heads. Ties break by run index,
   // which — because runs are created in input order and each run is
   // stably sorted — makes the whole sort stable under any key.
@@ -200,11 +235,11 @@ void ExternalSorter::drain(const std::function<void(RawRecord&&)>& emit) {
     return a.run > b.run;
   };
   std::vector<std::unique_ptr<bam::BamFileReader>> readers;
-  readers.reserve(run_paths_.size());
+  readers.reserve(runs.size());
   std::vector<Head> heap;
-  heap.reserve(run_paths_.size());
-  for (size_t r = 0; r < run_paths_.size(); ++r) {
-    readers.push_back(std::make_unique<bam::BamFileReader>(run_paths_[r]));
+  heap.reserve(runs.size());
+  for (size_t r = 0; r < runs.size(); ++r) {
+    readers.push_back(std::make_unique<bam::BamFileReader>(runs[r]));
     Head head{RawRecord(), r};
     if (readers.back()->next_raw(head.body)) {
       heap.push_back(std::move(head));
@@ -224,9 +259,7 @@ void ExternalSorter::drain(const std::function<void(RawRecord&&)>& emit) {
       heap.pop_back();
     }
   }
-  NGSX_CHECK_MSG(merged == total_, "merge lost records");
-  readers.clear();
-  remove_runs();
+  return merged;
 }
 
 void ExternalSorter::remove_runs() noexcept {

@@ -22,10 +22,14 @@
 // not compressed: a run is a BAM file whose BGZF blocks are stored (level
 // 0), written by the sequential bgzf::Writer on the spill stage's one
 // thread, in place (OutputFile::Commit::kDirect: no fsync, no rename), and
-// read back as raw bodies (bam::BamFileReader::next_raw). Run files are named
-// "<target>.<pid>.<token>.run<N>.tmp.bam" with a process-wide monotonic
-// token, so concurrent sorts sharing a temp directory — or even targeting
-// the same output path — never collide. Every created run is removed when
+// read back as raw bodies (bam::BamFileReader::next_raw). The final merge
+// reads at most 16 runs at once; beyond that, contiguous groups of runs
+// are first merged into runs of their own, oldest first, which keeps the
+// run order and so the output bytes. Run files are named
+// "<target>.<pid>.<token>.run<N>.tmp.bam" (pre-merged ones
+// ".merge<pass>.<N>.tmp.bam") with a process-wide monotonic token, so
+// concurrent sorts sharing a temp directory — or even targeting the same
+// output path — never collide. Every created run is removed when
 // the sorter is destroyed, drained or not, so a failure mid-spill or
 // mid-merge leaves no ".tmp.bam" litter behind.
 
@@ -58,8 +62,8 @@ struct SortOptions {
   /// BGZF level for the output (spill runs are not compressed).
   int compression_level = 6;
 
-  /// BGZF compression workers for the output (>= 1; 1 = the sequential
-  /// bgzf::Writer). The bytes do not depend on it.
+  /// BGZF blocks compressing at once for the output (>= 1; 1 = the
+  /// sequential bgzf::Writer). The bytes do not depend on it.
   int threads = 1;
 
   /// Directory for spill runs; empty = alongside the output file.
@@ -160,6 +164,9 @@ class ExternalSorter {
   }
 
  private:
+  /// K-way merges `runs` (in run order) into `emit`; returns the count.
+  uint64_t merge_runs(const std::vector<std::string>& runs,
+                      const std::function<void(RawRecord&&)>& emit) const;
   void remove_runs() noexcept;
 
   sam::SamHeader header_;

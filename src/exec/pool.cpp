@@ -1,6 +1,8 @@
 #include "exec/pool.h"
 
-#include <chrono>
+#include <pthread.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <random>
 
@@ -17,10 +19,12 @@ namespace {
 thread_local Pool* tl_pool = nullptr;
 thread_local int tl_index = -1;
 
-// How long an idle worker parks before re-scanning. Wakeups are normally
-// explicit (wake_cv_), but owner-deque pushes signal without the injector
-// lock, so a notification can be missed; the timeout bounds that window.
-constexpr auto kParkInterval = std::chrono::microseconds(200);
+// The process pool. The fork handler clears it in a child, whose copy of
+// the parent's pool has no workers.
+std::atomic<Pool*> g_process_pool{nullptr};
+[[maybe_unused]] const int g_fork_handler = pthread_atfork(
+    nullptr, nullptr,
+    [] { g_process_pool.store(nullptr, std::memory_order_relaxed); });
 
 // Pool observability (docs/OBSERVABILITY.md, layer "exec"). Handles are
 // registered lazily on the first armed hook; every hook is gated on
@@ -45,6 +49,20 @@ int hardware_threads() {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
+Pool& process_pool() {
+  Pool* pool = g_process_pool.load(std::memory_order_acquire);
+  if (pool == nullptr) {
+    // Never destroyed: at exit its workers are parked, holding nothing. A
+    // thread that loses the race to create it joins its own copy at once.
+    auto fresh = std::make_unique<Pool>(hardware_threads());
+    if (g_process_pool.compare_exchange_strong(pool, fresh.get(),
+                                               std::memory_order_acq_rel)) {
+      pool = fresh.release();
+    }
+  }
+  return *pool;
+}
+
 // ----------------------------------------------------------------- Pool
 
 Pool::Pool(int threads) : n_threads_(threads) {
@@ -61,6 +79,7 @@ Pool::Pool(int threads) : n_threads_(threads) {
 
 Pool::~Pool() {
   stop_.store(true, std::memory_order_seq_cst);
+  { std::lock_guard<std::mutex> lock(inj_mu_); }
   wake_cv_.notify_all();
   for (auto& worker : workers_) {
     worker.join();
@@ -84,15 +103,16 @@ void Pool::submit_task(Task* task) {
   }
   if (tl_pool == this) {
     // Spawned from a worker: LIFO push onto its own deque; thieves take
-    // the oldest end. Signal outside the lock — a missed wakeup is
-    // recovered by the parked workers' timeout.
+    // the oldest end.
     deques_[static_cast<size_t>(tl_index)]->push(task);
-    wake_cv_.notify_one();
-    return;
   }
   {
+    // Taken on every submit, so a worker that found no work cannot miss
+    // this wakeup between its scan and its park (worker_main).
     std::lock_guard<std::mutex> lock(inj_mu_);
-    injector_.push_back(task);
+    if (tl_pool != this) {
+      injector_.push_back(task);
+    }
   }
   wake_cv_.notify_one();
 }
@@ -170,7 +190,12 @@ void Pool::run_task(Task* task) {
     }
   }
   delete task;
-  pending_.fetch_sub(1, std::memory_order_release);
+  if (pending_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+      stop_.load(std::memory_order_seq_cst)) {
+    // The last task of a stopping pool: parked workers may now exit.
+    { std::lock_guard<std::mutex> lock(inj_mu_); }
+    wake_cv_.notify_all();
+  }
   if (recording) {
     pool_metrics().task_us.record(
         (obs::detail::monotonic_ns() - start_ns) / 1000);
@@ -185,22 +210,23 @@ void Pool::worker_main(int index) {
     if (try_run_one()) {
       continue;
     }
-    if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
+    // Park until woken, without polling. Every submit takes inj_mu_
+    // after publishing its task, so a task that arrived since the scan is
+    // either seen here, under the lock, or wakes us.
     std::unique_lock<std::mutex> lock(inj_mu_);
-    if (!injector_.empty()) {
+    if (!injector_.empty() ||
+        std::any_of(deques_.begin(), deques_.end(),
+                    [](const auto& d) { return d->size_estimate() > 0; })) {
       continue;  // raced with a submit; rescan
     }
-    if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
+    if (stop_.load(std::memory_order_seq_cst) &&
+        pending_.load(std::memory_order_seq_cst) == 0) {
       return;
     }
     if (obs::metrics_enabled()) {
       pool_metrics().parks.add(1);
     }
-    wake_cv_.wait_for(lock, kParkInterval);
+    wake_cv_.wait(lock);
   }
 }
 

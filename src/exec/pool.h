@@ -1,8 +1,9 @@
 // ngsx/exec/pool.h
 //
 // Work-stealing thread pool: the shared execution engine behind the
-// dynamic-schedule converters, the parallel BGZF writer and the NL-means
-// tile scheduler (see docs/EXEC.md).
+// dynamic-schedule converters, the parallel BGZF reader and writer, the
+// preprocessor and collation (all on the one process_pool()), and the
+// NL-means tile scheduler (see docs/EXEC.md).
 //
 // Every worker owns a Chase–Lev deque; tasks spawned *from* a worker go to
 // its own deque (LIFO, cache-hot), tasks submitted from outside go to a
@@ -22,7 +23,8 @@
 //   });
 //
 // Shutdown is graceful: the destructor runs every task already submitted
-// (including tasks those tasks spawn) before joining the workers.
+// (including tasks those tasks spawn) before joining the workers. The
+// process pool is never destroyed; its idle workers park without polling.
 
 #pragma once
 
@@ -75,6 +77,12 @@ class Pool {
   /// True if the calling thread is a worker of *this* pool.
   bool on_worker_thread() const;
 
+  /// Runs one task if any is available to this thread; false otherwise.
+  /// Used by workers and by waiters that are themselves workers
+  /// (TaskGroup::wait, OrderedWindow::pop): help-first waiting, so nested
+  /// spawns and windows cannot deadlock the pool.
+  bool try_run_one();
+
  private:
   friend class TaskGroup;
 
@@ -84,10 +92,6 @@ class Pool {
   };
 
   void submit_task(Task* task);
-  /// Runs one task if any is available to this thread; false otherwise.
-  /// Used by workers and by TaskGroup::wait() when called on a worker
-  /// (help-first waiting, so nested spawns cannot deadlock the pool).
-  bool try_run_one();
   Task* find_task();
   void run_task(Task* task);
   void worker_main(int index);
@@ -101,6 +105,13 @@ class Pool {
   std::atomic<int64_t> pending_{0};      // submitted, not yet finished
   std::vector<std::thread> workers_;
 };
+
+/// The process-wide pool, as htslib shares one hts_tpool: hardware_threads()
+/// workers, created on first use and never destroyed. Every parallel path
+/// in src/formats and src/core runs on it, its width a cap on tasks in
+/// flight rather than a thread count. Fork-aware: a child forked after
+/// first use builds its own pool and never touches the parent's.
+Pool& process_pool();
 
 /// A wait-able set of tasks on a pool. The first exception thrown by any
 /// task in the group is captured and rethrown by wait(); remaining tasks

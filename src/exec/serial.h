@@ -12,9 +12,9 @@
 // its inputs — and the jobs execute strictly in submission order, so a
 // stateful stage keeps its determinism while the producer overlaps with it.
 //
-// Error contract (the Pipeline<> pattern): the first job that throws
-// poisons the stage — the queue is closed, already-queued jobs are
-// discarded, and the captured exception is rethrown from the next submit()
+// Error contract: the first job that throws poisons the stage — the
+// queue is closed, already-queued jobs are discarded, and the captured
+// exception is rethrown from the next submit()
 // or from finish(). finish() drains every accepted job before returning,
 // so "finish() returned normally" means every submitted job ran to
 // completion. The destructor finishes quietly (errors were already
@@ -89,9 +89,9 @@ class SerialStage {
       } catch (...) {
         error = std::current_exception();
       }
-      // Publish outside the catch block (as Pipeline<> does): the handler's
-      // own reference to the in-flight exception is released when the
-      // catch block ends, so it must end before the mutex hand-off. Then
+      // Publish outside the catch block (as OrderedWindow does): the
+      // handler's own reference to the in-flight exception is released when
+      // the catch block ends, so it must end before the mutex hand-off. Then
       // everything this thread did to the exception object happens-before
       // the producer rethrowing it, and the last reference is never
       // dropped here while the producer reads what().

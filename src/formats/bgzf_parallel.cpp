@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 
 #include "formats/bgzf.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace ngsx::bgzf {
 
@@ -14,8 +12,8 @@ namespace {
 
 // Parallel-path observability (docs/OBSERVABILITY.md, layer "bgzf"): the
 // per-block codec metrics live in bgzf.cpp; here we only track what is
-// unique to the parallel reader — readahead-buffer occupancy and pipeline
-// restarts forced by seeks.
+// unique to the parallel reader — blocks in its window and restarts
+// forced by seeks.
 struct ParallelReaderMetrics {
   obs::Gauge& readahead_depth = obs::gauge("bgzf.decode.readahead_depth");
   obs::Counter& seek_restarts = obs::counter("bgzf.decode.seek_restarts");
@@ -29,14 +27,6 @@ ParallelReaderMetrics& reader_metrics() {
 int checked_threads(int threads) {
   NGSX_CHECK_MSG(threads >= 1, "need at least one compression worker");
   return threads;
-}
-
-exec::PipelineOptions pipeline_options(int threads) {
-  // window and capacity keep the pipeline default, 2 * workers + 4 blocks
-  // each: a fast producer buffers in proportion to the width.
-  exec::PipelineOptions opt;
-  opt.workers = threads;
-  return opt;
 }
 
 }  // namespace
@@ -54,38 +44,23 @@ ParallelWriter::ParallelWriter(const std::string& path, int threads,
                                int level, OutputFile::Commit commit)
     : out_(std::make_unique<OutputFile>(
           path, OutputFile::kDefaultBufferBytes, commit)),
-      pool_(checked_threads(threads)),
-      pipeline_(
-          pool_,
-          [level](std::string&& raw) {
-            // One long-lived z_stream per worker thread, recycled via
-            // deflateReset (a level change falls back to reinit).
-            thread_local Deflater deflater;
-            std::string block;
-            deflater.compress(raw, block, level);
-            return block;
-          },
-          [this](std::string&& block) {
-            out_->write(block);
-            compressed_bytes_.fetch_add(block.size(),
-                                        std::memory_order_relaxed);
-          },
-          pipeline_options(threads)) {
+      level_(level),
+      window_(exec::process_pool(),
+              2 * static_cast<size_t>(checked_threads(threads)) + 4, threads,
+              [this](std::string&& block, uint64_t) {
+                out_->write(block);
+                compressed_bytes_.fetch_add(block.size(),
+                                            std::memory_order_relaxed);
+              }) {
   pending_.reserve(kMaxBlockInput);
 }
 
 ParallelWriter::~ParallelWriter() {
-  // Destruction without close() rolls the output back (see bgzf::Writer).
-  // The pipeline must be drained first: its sink writes out_ from the
-  // driver side, so discarding while workers run would race.
+  // Destruction without close() rolls the output back (see bgzf::Writer),
+  // once no block is compressing or being written.
   if (!closed_) {
     closed_ = true;
-    try {
-      pipeline_.finish();
-    } catch (const std::exception&) {
-      // Already rolling back; the first error was or will be reported by
-      // whoever abandoned this writer.
-    }
+    window_.discard();
     out_->discard();
   }
 }
@@ -110,10 +85,17 @@ void ParallelWriter::flush_block() {
 }
 
 void ParallelWriter::submit_pending() {
-  std::string raw = std::move(pending_);
+  window_.wait_for_room();  // rethrows a compression or write error
+  window_.push([raw = std::move(pending_), level = level_] {
+    // One long-lived z_stream per worker thread, recycled via
+    // deflateReset (a level change falls back to reinit).
+    thread_local Deflater deflater;
+    std::string block;
+    deflater.compress(raw, block, level);
+    return block;
+  });
   pending_.clear();
   pending_.reserve(kMaxBlockInput);
-  pipeline_.push(std::move(raw));  // blocks on backpressure; rethrows errors
 }
 
 void ParallelWriter::close() {
@@ -125,32 +107,19 @@ void ParallelWriter::close() {
     if (!pending_.empty()) {
       submit_pending();
     }
-    pipeline_.finish();  // drain; rethrows the first compression/write error
+    window_.finish();
     out_->write(eof_marker());
     compressed_bytes_.fetch_add(eof_marker().size(),
                                 std::memory_order_relaxed);
     out_->close();
   } catch (...) {
-    try {
-      pipeline_.finish();  // join workers before touching out_
-    } catch (const std::exception&) {
-      // First error wins; it is already in flight.
-    }
+    window_.discard();  // nothing may still be compressing or writing
     out_->discard();
     throw;
   }
 }
 
 // ---------------------------------------------------------- ParallelReader
-
-namespace {
-
-/// Thrown by the committer's sink when the output channel was closed by a
-/// seek invalidation or destruction: not an error, just "stop committing".
-/// Deliberately not an ngsx::Error so it can never leak to consumers.
-struct PipelineCancelled {};
-
-}  // namespace
 
 int resolve_decode_threads(int requested) {
   if (requested < 0) {
@@ -170,144 +139,100 @@ std::unique_ptr<ReaderBase> open_reader(const std::string& path,
 
 ParallelReader::ParallelReader(const std::string& path, int threads,
                                size_t readahead_blocks)
-    : file_(path), threads_(checked_threads(threads)),
-      readahead_(std::max<size_t>(readahead_blocks, 1)),
-      pool_(threads_) {
-  start(0);
-}
+    : file_(path),
+      window_(exec::process_pool(), std::max<size_t>(readahead_blocks, 1),
+              checked_threads(threads)) {}
 
-ParallelReader::~ParallelReader() { stop(); }
+// restart() drops the window and takes its blocks off the gauge.
+ParallelReader::~ParallelReader() { restart(0); }
 
-void ParallelReader::start(uint64_t coffset) {
-  cancel_.store(false, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(error_mu_);
-    error_ = nullptr;
+void ParallelReader::restart(uint64_t coffset) {
+  // Blocks still in flight are dropped; account for them so the
+  // readahead-depth gauge returns to zero.
+  if (obs::metrics_enabled()) {
+    reader_metrics().readahead_depth.sub(
+        static_cast<int64_t>(window_.size()));
   }
-  blocks_ = std::make_unique<exec::Channel<Decoded>>(readahead_);
-  drained_ = false;
+  window_.discard();
+  scan_cursor_ = coffset;
+  error_ = nullptr;
   have_block_ = false;
   block_pos_ = 0;
   current_ = Decoded{};
   current_.coffset = coffset;  // tell() anchor until the first block lands
-  driver_ = std::thread([this, coffset] { drive(coffset); });
 }
 
-void ParallelReader::stop() {
-  cancel_.store(true, std::memory_order_relaxed);
-  if (blocks_ != nullptr) {
-    blocks_->close();  // unblocks a committer stalled on readahead room
-  }
-  if (driver_.joinable()) {
-    driver_.join();
-  }
-  // Blocks still buffered at a restart are discarded; account for them so
-  // the readahead-depth gauge returns to zero.
-  if (blocks_ != nullptr && obs::metrics_enabled()) {
-    while (blocks_->pop().has_value()) {
-      reader_metrics().readahead_depth.sub(1);
+void ParallelReader::top_up() {
+  while (scan_cursor_ < file_.size() && !window_.full()) {
+    // Framing: a header peek and one read per block.
+    std::string raw;
+    try {
+      char header[kBlockHeaderSize];
+      size_t got = file_.pread(header, sizeof(header), scan_cursor_);
+      if (got < sizeof(header)) {
+        throw FormatError("truncated BGZF block header at offset " +
+                          std::to_string(scan_cursor_));
+      }
+      size_t total =
+          peek_block_size(std::string_view(header, sizeof(header)));
+      raw = file_.read_at(scan_cursor_, total);
+      if (raw.size() != total) {
+        throw FormatError("truncated BGZF block at offset " +
+                          std::to_string(scan_cursor_));
+      }
+    } catch (...) {
+      // Queued as a ticket of its own, so it is raised once the blocks
+      // before it are consumed, where the sequential reader raises it;
+      // nothing past it is framed.
+      window_.push([error = std::current_exception()]() -> Decoded {
+        std::rethrow_exception(error);
+      });
+      scan_cursor_ = file_.size();
+      return;
+    }
+    const uint64_t coffset = scan_cursor_;
+    scan_cursor_ += raw.size();
+    window_.push([raw = std::move(raw), coffset] {
+      // One long-lived inflate state per worker thread.
+      thread_local Inflater inflater;
+      Decoded out;
+      out.coffset = coffset;
+      out.csize = raw.size();
+      inflater.decompress(raw, out.payload, coffset);
+      return out;
+    });
+    if (obs::metrics_enabled()) {
+      reader_metrics().readahead_depth.add(1);
     }
   }
-}
-
-void ParallelReader::drive(uint64_t start_coffset) {
-  // One raw compressed block, scanned off the file in order.
-  struct RawBlock {
-    std::string raw;
-    uint64_t coffset = 0;
-  };
-
-  uint64_t cursor = start_coffset;
-  exec::PipelineOptions opt;
-  opt.workers = threads_;
-  opt.window = readahead_;
-  opt.cancel = &cancel_;
-
-  try {
-    exec::ordered_pipeline<RawBlock, Decoded>(
-        pool_,
-        // Framing scan: serial, cheap (header peek + one read per block).
-        [&](RawBlock& item) {
-          if (cursor >= file_.size()) {
-            return false;
-          }
-          char header[kBlockHeaderSize];
-          size_t got = file_.pread(header, sizeof(header), cursor);
-          if (got < sizeof(header)) {
-            throw FormatError("truncated BGZF block header at offset " +
-                              std::to_string(cursor));
-          }
-          size_t total =
-              peek_block_size(std::string_view(header, sizeof(header)));
-          item.raw = file_.read_at(cursor, total);
-          if (item.raw.size() != total) {
-            throw FormatError("truncated BGZF block at offset " +
-                              std::to_string(cursor));
-          }
-          item.coffset = cursor;
-          cursor += total;
-          return true;
-        },
-        // Parallel inflate: one long-lived z_stream per worker thread.
-        [](RawBlock&& item, uint64_t) {
-          thread_local Inflater inflater;
-          Decoded out;
-          out.coffset = item.coffset;
-          out.csize = item.raw.size();
-          inflater.decompress(item.raw, out.payload, item.coffset);
-          return out;
-        },
-        // Ordered commit: publish in file order; channel capacity is the
-        // readahead bound (backpressures the whole pipeline).
-        [&](Decoded&& block, uint64_t) {
-          if (!blocks_->push(std::move(block))) {
-            throw PipelineCancelled{};
-          }
-          if (obs::metrics_enabled()) {
-            reader_metrics().readahead_depth.add(1);
-          }
-        },
-        opt);
-  } catch (const PipelineCancelled&) {
-    return;  // seek invalidation or destruction; channel already closed
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(error_mu_);
-    error_ = std::current_exception();
-  }
-  blocks_->close();  // consumer drains the remainder, then sees the end
 }
 
 bool ParallelReader::fetch_next() {
-  if (drained_) {
-    std::lock_guard<std::mutex> lock(error_mu_);
-    if (error_ != nullptr) {
-      std::rethrow_exception(error_);  // sticky until the next seek
-    }
-    return false;
+  if (error_ != nullptr) {
+    std::rethrow_exception(error_);  // sticky until the next seek
   }
-  std::optional<Decoded> block = blocks_->pop();
-  if (block.has_value() && obs::metrics_enabled()) {
-    reader_metrics().readahead_depth.sub(1);
-  }
-  if (!block.has_value()) {
-    drained_ = true;
-    have_block_ = false;
-    {
-      std::lock_guard<std::mutex> lock(error_mu_);
-      if (error_ != nullptr) {
-        std::rethrow_exception(error_);  // current_.coffset = last good block
-      }
-    }
+  top_up();
+  if (window_.empty()) {
     // Clean end of stream: park the cursor one past the last scanned
     // block, so tell() == (file size, 0) exactly like the sequential
     // reader's failed load_block.
+    have_block_ = false;
     current_.coffset += current_.csize;
     current_.csize = 0;
     current_.payload.clear();
     block_pos_ = 0;
     return false;
   }
-  current_ = std::move(*block);
+  if (obs::metrics_enabled()) {
+    reader_metrics().readahead_depth.sub(1);
+  }
+  try {
+    current_ = window_.pop();
+  } catch (...) {
+    have_block_ = false;  // current_.coffset stays at the last good block
+    error_ = std::current_exception();
+    throw;
+  }
   have_block_ = true;
   block_pos_ = 0;
   return true;
@@ -354,21 +279,20 @@ void ParallelReader::seek(uint64_t voffset) {
   uint64_t coffset = voffset_coffset(voffset);
   uint32_t uoffset = voffset_uoffset(voffset);
   if (have_block_ && current_.coffset == coffset) {
-    // Repositioning within the delivered block: no pipeline restart.
+    // Repositioning within the delivered block: no restart.
     if (uoffset > current_.payload.size()) {
       throw FormatError("BGZF seek offset beyond block payload");
     }
     block_pos_ = uoffset;
     return;
   }
-  // Seek invalidation: discard the in-flight readahead and rescan from the
+  // Seek invalidation: drop the blocks in flight and reframe from the
   // target block (its framing is revalidated by the scanner, exactly as
   // the sequential reader's load_block would).
   if (obs::metrics_enabled()) {
     reader_metrics().seek_restarts.add(1);
   }
-  stop();
-  start(coffset);
+  restart(coffset);
   if (!fetch_next()) {
     if (uoffset == 0) {
       return;  // seeking to EOF is legal; tell() anchors at coffset

@@ -3,17 +3,23 @@
 // block/write patterns. Reader side: ParallelReader must be observationally
 // identical to the sequential Reader — same bytes, same tell() values, same
 // FormatError messages on corrupt input — across random read()/seek()
-// interleavings and thread counts.
+// interleavings and thread counts. Shared pool: both run on the one
+// process pool, nested inside each other and inside pool tasks, without
+// starting threads per object, and in forked ranks.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "exec/pipeline.h"
 #include "formats/bgzf.h"
 #include "formats/bgzf_parallel.h"
+#include "mpi/minimpi.h"
+#include "util/iopolicy.h"
 #include "util/rng.h"
 #include "util/tempdir.h"
 
@@ -140,6 +146,31 @@ TEST(ParallelWriterEdge, BackpressureBoundsMemory) {
     total += got;
   }
   EXPECT_EQ(total, 200ull * kMaxBlockInput);
+}
+
+TEST(ParallelWriterEdge, WriteErrorSurfacesToTheProducerAndRollsBack) {
+  // ENOSPC strikes while a finished block is being written by whichever
+  // thread commits it: the error must reach the producer from write() or
+  // close(), without a hang, and the output must be rolled back.
+  TempDir tmp;
+  const std::string path = tmp.file("enospc.bgzf");
+  const std::string payload = random_payload(8 << 20, 13);
+  io::Fault fault;
+  fault.op = io::Op::kWrite;
+  fault.kind = io::FaultKind::kEnospc;
+  fault.bytes = 512;
+  io::IoPolicy::instance().inject(path, fault);
+  EXPECT_THROW(
+      {
+        ParallelWriter w(path, 4, /*level=*/1);
+        for (size_t at = 0; at < payload.size(); at += 100000) {
+          w.write(std::string_view(payload).substr(at, 100000));
+        }
+        w.close();
+      },
+      IoError);
+  io::IoPolicy::instance().clear();
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 // ------------------------------------------------------------ open_writer
@@ -555,11 +586,18 @@ TEST_P(DecodeThreads, DestructionMidStreamDoesNotHang) {
 }
 
 TEST_P(DecodeThreads, SmallReadaheadWindowStillExact) {
+  // Every window depth and read size delivers exactly the payload: no
+  // byte lost or repeated at a window boundary.
   TempDir tmp;
   std::string payload = random_payload(1 << 20, 97);
   std::string path = write_bgzf(tmp, "t.bgzf", payload, 98);
-  ParallelReader par(path, GetParam(), /*readahead_blocks=*/1);
-  EXPECT_EQ(drain(par), payload);
+  for (size_t readahead : {1, 4, 128}) {
+    for (size_t chunk : {8192, 1 << 16}) {
+      ParallelReader par(path, GetParam(), readahead);
+      EXPECT_EQ(drain(par, chunk), payload)
+          << "readahead " << readahead << ", chunk " << chunk;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, DecodeThreads, ::testing::Values(1, 2, 8));
@@ -609,6 +647,126 @@ TEST(ParallelReaderEdge, OpenReaderFactory) {
   EXPECT_NE(dynamic_cast<ParallelReader*>(par.get()), nullptr);
   EXPECT_EQ(drain(*seq), payload);
   EXPECT_EQ(drain(*par), payload);
+}
+
+// ------------------------------------------------------------ shared pool
+
+/// Threads of this process, from /proc/self/task.
+size_t thread_count() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Reads `in` with a width-`width` ParallelReader, cuts it into 10 kB
+/// items on an ordered_pipeline of that width, and writes the items back
+/// through a width-`width` ParallelWriter fed from the pipeline's sink:
+/// three windows nested on the process pool.
+void recompress(const std::string& in, const std::string& out, int width) {
+  ParallelReader reader(in, width, /*readahead_blocks=*/4);
+  ParallelWriter writer(out, width, /*level=*/1);
+  exec::PipelineOptions opt;
+  opt.workers = width;
+  exec::ordered_pipeline<std::string, std::string>(
+      exec::process_pool(),
+      [&reader](std::string& item) {
+        item.resize(10000);
+        item.resize(reader.read(item.data(), item.size()));
+        return !item.empty();
+      },
+      [](std::string&& item, uint64_t) { return std::move(item); },
+      [&writer](std::string&& item, uint64_t) { writer.write(item); }, opt);
+  writer.close();
+}
+
+TEST(SharedPool, NestedWindowsFinishAtWidthOneAndHardwareWidth) {
+  TempDir tmp;
+  std::string payload = random_payload(3 << 20, 201);
+  std::string in = write_bgzf(tmp, "in.bgzf", payload, 202);
+  const int hardware = exec::hardware_threads();
+  for (int width : {1, hardware}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    // From a thread outside the pool...
+    recompress(in, tmp.file("caller.bgzf"), width);
+    Reader check(tmp.file("caller.bgzf"));
+    EXPECT_EQ(drain(check), payload);
+    // ...and from one task per pool worker, so every worker is itself a
+    // window caller and must run the inner tasks while it waits.
+    exec::TaskGroup group(exec::process_pool());
+    for (int k = 0; k < exec::process_pool().size(); ++k) {
+      group.spawn([&, k] {
+        recompress(in, tmp.file("task" + std::to_string(k) + ".bgzf"),
+                   width);
+      });
+    }
+    group.wait();
+    for (int k = 0; k < exec::process_pool().size(); ++k) {
+      Reader r(tmp.file("task" + std::to_string(k) + ".bgzf"));
+      EXPECT_EQ(drain(r), payload) << "task " << k;
+    }
+  }
+}
+
+TEST(SharedPool, OpenCloseCyclesStartNoThreads) {
+  TempDir tmp;
+  std::string payload = random_payload(300000, 203);
+  std::string in = write_bgzf(tmp, "in.bgzf", payload, 204);
+  size_t after_first = 0;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    {
+      ParallelReader reader(in, 4);
+      char buf[4096];
+      (void)reader.read(buf, sizeof(buf));  // abandoned mid-stream
+      ParallelWriter writer(tmp.file("out.bgzf"), 4, /*level=*/1);
+      writer.write(payload);
+      writer.close();
+    }
+    if (cycle == 0) {
+      after_first = thread_count();
+    } else {
+      ASSERT_EQ(thread_count(), after_first) << "cycle " << cycle;
+    }
+  }
+}
+
+TEST(SharedPool, ForkedRanksBuildTheirOwnPool) {
+  // The parent uses the pool first; each forked rank must then compress
+  // on a pool of its own (the parent's workers do not exist in a child).
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "ThreadSanitizer cannot follow threads started after a "
+                  "multi-threaded fork";
+#endif
+  TempDir tmp;
+  std::string payload = random_payload(1 << 20, 205);
+  {
+    ParallelWriter parent(tmp.file("parent.bgzf"), 4);
+    parent.write(payload);
+    parent.close();
+  }
+  ::setenv("NGSX_MPI_TRANSPORT", "shm", 1);
+  try {
+    mpi::run(3, [&](mpi::Comm& comm) {
+      ParallelWriter w(tmp.file("rank" + std::to_string(comm.rank()) +
+                                ".bgzf"),
+                       4);
+      w.write(payload);
+      w.close();
+      comm.barrier();
+    });
+  } catch (...) {
+    ::unsetenv("NGSX_MPI_TRANSPORT");
+    throw;
+  }
+  ::unsetenv("NGSX_MPI_TRANSPORT");
+  const std::string expected = read_file(tmp.file("parent.bgzf"));
+  for (int rank = 0; rank < 3; ++rank) {
+    EXPECT_EQ(read_file(tmp.file("rank" + std::to_string(rank) + ".bgzf")),
+              expected)
+        << "rank " << rank;
+  }
 }
 
 }  // namespace

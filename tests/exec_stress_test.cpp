@@ -217,15 +217,19 @@ TEST(PoolStress, RandomGrainParallelFor) {
 TEST(PipelineStress, OrderPreservedUnderJitter) {
   Pool pool(4);
   for (int round = 0; round < 5; ++round) {
-    constexpr int kItems = 1000;
+    constexpr uint64_t kItems = 1000;
     std::vector<uint64_t> committed;
     committed.reserve(kItems);
+    uint64_t produced = 0;
     PipelineOptions opt;
-    opt.capacity = 8;
     opt.window = 16;
-    Pipeline<uint64_t, uint64_t> pipe(
+    ordered_pipeline<uint64_t, uint64_t>(
         pool,
-        [round](uint64_t&& v) {
+        [&produced](uint64_t& item) {
+          item = produced++;
+          return item < kItems;
+        },
+        [round](uint64_t&& v, uint64_t) {
           // Data-dependent busy work so completion order is scrambled.
           Rng rng(v * 31 + static_cast<uint64_t>(round));
           uint64_t spin = rng.below(400);
@@ -235,45 +239,12 @@ TEST(PipelineStress, OrderPreservedUnderJitter) {
           }
           return v * 2 + (acc & 0);  // keep the busy work observable
         },
-        [&committed](uint64_t&& v) { committed.push_back(v); }, opt);
-    for (uint64_t i = 0; i < kItems; ++i) {
-      pipe.push(i);
-    }
-    pipe.finish();
+        [&committed](uint64_t&& v, uint64_t) { committed.push_back(v); },
+        opt);
     ASSERT_EQ(committed.size(), static_cast<size_t>(kItems));
     for (uint64_t i = 0; i < kItems; ++i) {
       ASSERT_EQ(committed[static_cast<size_t>(i)], i * 2) << "round " << round;
     }
-  }
-}
-
-TEST(PipelineStress, ManyProducersOneOrderedSink) {
-  // Multiple producer threads share one pipeline; per-producer FIFO order
-  // is not defined, but nothing may be lost or duplicated.
-  Pool pool(4);
-  constexpr int kProducers = 4;
-  constexpr uint64_t kPerProducer = 1500;
-  std::vector<std::atomic<int>> seen(kProducers * kPerProducer);
-  PipelineOptions opt;
-  opt.capacity = 4;
-  Pipeline<uint64_t, uint64_t> pipe(
-      pool, [](uint64_t&& v) { return v; },
-      [&seen](uint64_t&& v) { seen[static_cast<size_t>(v)].fetch_add(1); },
-      opt);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&pipe, p] {
-      for (uint64_t i = 0; i < kPerProducer; ++i) {
-        pipe.push(static_cast<uint64_t>(p) * kPerProducer + i);
-      }
-    });
-  }
-  for (auto& t : producers) {
-    t.join();
-  }
-  pipe.finish();
-  for (size_t i = 0; i < seen.size(); ++i) {
-    ASSERT_EQ(seen[i].load(), 1) << "item " << i;
   }
 }
 
@@ -370,30 +341,33 @@ TEST(PipelineErrors, SourceErrorPropagatesWithoutDeadlock) {
 }
 
 TEST(PipelineErrors, PushPipelineReportsWorkerErrorToProducer) {
+  // A producer driving a window by hand (the ParallelWriter shape): the
+  // worker's error must surface from the pop() that makes room — without
+  // hanging, and with the window still able to drop what is in flight.
   Pool pool(4);
-  PipelineOptions opt;
-  opt.workers = 4;
-  Pipeline<uint64_t, uint64_t> pipe(
-      pool,
-      [](uint64_t&& item) {
-        if (item == 50) {
-          throw IoError("poisoned push transform");
-        }
-        return item;
-      },
-      [](uint64_t&&) {}, opt);
-  // The error must surface from push() (backpressure path) or finish() —
-  // and must not hang either one.
+  OrderedWindow<uint64_t> window(pool, 12, 4);
   try {
     for (uint64_t i = 0; i < 10000; ++i) {
-      pipe.push(i);
+      if (window.full()) {
+        (void)window.pop();
+      }
+      window.push([i] {
+        if (i == 50) {
+          throw IoError("poisoned push transform");
+        }
+        return i;
+      });
     }
-    pipe.finish();
+    while (!window.empty()) {
+      (void)window.pop();
+    }
     FAIL() << "worker error was swallowed";
   } catch (const IoError& e) {
     EXPECT_NE(std::string(e.what()).find("poisoned push transform"),
               std::string::npos);
   }
+  window.discard();
+  EXPECT_TRUE(window.empty());
 }
 
 TEST(ParallelForErrors, BodyErrorPropagatesAndStopsSiblings) {

@@ -1,8 +1,8 @@
 // Unit tests for the exec execution engine: work-stealing pool semantics
 // (submit/wait, exception propagation, nesting), bounded channel
 // (backpressure, close/drain), dynamic parallel_for (sum property), the
-// ordered pipeline (ticket order, error propagation), and the pool-backed
-// NL-means tile scheduler.
+// ordered window and pipeline (ticket order, width cap, error propagation,
+// nesting), and the pool-backed NL-means tile scheduler.
 
 #include <gtest/gtest.h>
 
@@ -424,58 +424,116 @@ TEST(OrderedPipeline, SinkErrorRethrown) {
                IoError);
 }
 
-TEST(Pipeline, PushFinishPreservesOrder) {
+TEST(OrderedWindow, PopsInTicketOrder) {
   Pool pool(4);
-  std::vector<int> committed;
-  {
-    Pipeline<int, int> pipe(
-        pool, [](int&& v) { return v + 1000; },
-        [&](int&& v) { committed.push_back(v); });
-    for (int i = 0; i < 300; ++i) {
-      pipe.push(i);
-    }
-    pipe.finish();
-  }
-  ASSERT_EQ(committed.size(), 300u);
+  OrderedWindow<int> window(pool, 8, 4);
+  std::vector<int> popped;
   for (int i = 0; i < 300; ++i) {
-    EXPECT_EQ(committed[static_cast<size_t>(i)], i + 1000);
+    if (window.full()) {
+      popped.push_back(window.pop());
+    }
+    window.push([i] {
+      if (i % 7 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      return i + 1000;
+    });
+  }
+  while (!window.empty()) {
+    popped.push_back(window.pop());
+  }
+  ASSERT_EQ(popped.size(), 300u);
+  for (int i = 0; i < 300; ++i) {
+    EXPECT_EQ(popped[static_cast<size_t>(i)], i + 1000);
   }
 }
 
-TEST(Pipeline, TransformErrorSurfacesToProducer) {
+TEST(OrderedWindow, TaskErrorSurfacesAtItsTicket) {
+  // Tickets before the failing one still deliver; its pop() rethrows.
   Pool pool(2);
-  PipelineOptions opt;
-  opt.capacity = 2;  // small channel so push() hits the failure quickly
-  Pipeline<int, int> pipe(
-      pool,
-      [](int&& v) {
-        if (v == 5) {
-          throw FormatError("item 5 is cursed");
-        }
-        return v;
-      },
-      [](int&&) {}, opt);
+  OrderedWindow<int> window(pool, 4, 2);
+  int next = 0;
+  int delivered = 0;
   EXPECT_THROW(
       {
-        for (int i = 0; i < 10000; ++i) {
-          pipe.push(i);
+        while (true) {
+          while (!window.full()) {
+            window.push([v = next++] {
+              if (v == 5) {
+                throw FormatError("item 5 is cursed");
+              }
+              return v;
+            });
+          }
+          EXPECT_EQ(window.pop(), delivered);
+          ++delivered;
         }
-        pipe.finish();
       },
       FormatError);
+  EXPECT_EQ(delivered, 5);
 }
 
-TEST(Pipeline, FinishIsIdempotent) {
+TEST(OrderedWindow, WidthCapsTasksRunningAtOnce) {
+  // At most `width` tickets run on the pool at once (the caller may run
+  // the oldest one itself on top, which is not pool work).
+  Pool pool(4);
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  OrderedWindow<int> window(pool, 16, 2);
+  for (int i = 0; i < 16; ++i) {
+    window.push([&, i] {
+      const bool on_pool = pool.on_worker_thread();
+      int now = running.fetch_add(on_pool ? 1 : 0) + 1;
+      int seen = peak.load();
+      while (on_pool && now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+      running.fetch_sub(on_pool ? 1 : 0);
+      return i;
+    });
+  }
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(window.pop(), i);
+  }
+  EXPECT_LE(peak.load(), 2);
+}
+
+TEST(OrderedWindow, DiscardIsIdempotentAndReusable) {
   Pool pool(2);
-  int sum = 0;
-  Pipeline<int, int> pipe(pool, [](int&& v) { return v; },
-                          [&](int&& v) { sum += v; });
-  pipe.push(1);
-  pipe.push(2);
-  pipe.finish();
-  pipe.finish();
-  EXPECT_EQ(sum, 3);
-  EXPECT_THROW(pipe.push(3), UsageError);
+  OrderedWindow<int> window(pool, 4, 2);
+  for (int i = 0; i < 4; ++i) {
+    window.push([i] { return i; });
+  }
+  window.discard();
+  window.discard();
+  EXPECT_TRUE(window.empty());
+  window.push([] { return 42; });
+  EXPECT_EQ(window.pop(), 42);
+  EXPECT_THROW(window.pop(), Error);
+}
+
+TEST(OrderedWindow, NestedWindowsOnASingleWorkerPool) {
+  // Every window caller below is the pool's only worker: it must run the
+  // inner tasks itself while it waits.
+  Pool pool(1);
+  std::atomic<int> sum{0};
+  TaskGroup group(pool);
+  for (int outer = 0; outer < 3; ++outer) {
+    group.spawn([&pool, &sum] {
+      int next = 0;
+      ordered_pipeline<int, int>(
+          pool,
+          [&next](int& item) {
+            item = next++;
+            return item < 20;
+          },
+          [](int&& item, uint64_t) { return item * 2; },
+          [&sum](int&& out, uint64_t) { sum.fetch_add(out); },
+          PipelineOptions{1, 2});
+    });
+  }
+  group.wait();
+  EXPECT_EQ(sum.load(), 3 * 2 * (19 * 20 / 2));
 }
 
 // ----------------------------------------------------------- SerialStage

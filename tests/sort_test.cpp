@@ -125,6 +125,21 @@ TEST(Sort, ExternalMatchesInMemory) {
   EXPECT_EQ(read_bam(tmp.file("mem.bam")), read_bam(tmp.file("ext.bam")));
 }
 
+TEST(Sort, RunsPastTheFanInCapPreMergeToTheSameBytes) {
+  // 2400 records at a 16-record budget spill 300 runs, far past the merge
+  // fan-in of 16: two pre-merge passes (300 -> 19 -> 2 runs), the same
+  // output bytes as in memory, and no run or pre-merged run left behind.
+  TempDir tmp;
+  write_bam(tmp.file("in.bam"), shuffled_records(2400, 6));
+  SortOptions options;
+  options.temp_dir = tmp.path();
+  sort_to_bam(tmp.file("in.bam"), tmp.file("mem.bam"), options);
+  options.max_records_in_memory = 16;
+  sort_to_bam(tmp.file("in.bam"), tmp.file("ext.bam"), options);
+  EXPECT_EQ(read_file(tmp.file("mem.bam")), read_file(tmp.file("ext.bam")));
+  EXPECT_EQ(count_tmp_files(tmp.path()), 0);
+}
+
 TEST(Sort, ParallelWidthMatchesSequential) {
   // SortOptions::threads deflates spill runs and the output on workers;
   // the bytes must not change, in memory or under forced spills.
