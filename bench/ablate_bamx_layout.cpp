@@ -10,8 +10,8 @@
 
 #include "baseline/picardlike.h"
 #include "bench_util.h"
-#include "core/convert.h"
 #include "formats/bam.h"
+#include "formats/bamx.h"
 #include "simdata/readsim.h"
 #include "util/cli.h"
 #include "util/tempdir.h"
@@ -33,12 +33,25 @@ int main(int argc, char** argv) {
   const std::string bam_path = tmp.file("d.bam");
   simdata::write_sam_dataset(sam_path, genome, pairs, cfg);
   simdata::write_bam_dataset(bam_path, genome, pairs, cfg);
-  core::PreprocessOptions popt;
-  popt.shards = 1;  // one BAMX file holding every record
-  auto pre = core::preprocess_bam_parallel(bam_path, tmp.file("d.bamxm"),
-                                           tmp.file("d.baix"), popt);
-  const std::string bamx_path = tmp.file("d-shard-0.bamx");
-  const double n = static_cast<double>(pre.records);
+  // One monolithic BAMX file holding every record under one layout.
+  const std::string bamx_path = tmp.file("d.bamx");
+  double n = 0;
+  {
+    std::vector<sam::AlignmentRecord> records;
+    bamx::BamxLayout layout;
+    bam::BamFileReader reader(bam_path);
+    sam::AlignmentRecord rec;
+    while (reader.next(rec)) {
+      layout.accommodate(rec);
+      records.push_back(rec);
+    }
+    bamx::BamxWriter writer(bamx_path, reader.header(), layout);
+    for (const sam::AlignmentRecord& r : records) {
+      writer.write(r);
+    }
+    writer.close();
+    n = static_cast<double>(records.size());
+  }
 
   // Space amplification.
   uint64_t sam_size = file_size(sam_path);

@@ -1,7 +1,7 @@
 // BAM preprocessing benchmark: the single-pass pipeline (framing ->
-// scan+transcode workers -> ordered commit -> parallel re-stride) at widths
-// 1, 2 and 4, plus an analytic model calibrated from the measured serial
-// per-stage costs.
+// scan+transcode workers -> ordered commit appending each chunk to its
+// shard) at widths 1, 2 and 4, plus an analytic model calibrated from the
+// measured serial per-stage costs.
 //
 // Emits BENCH_preproc.json (path configurable with --json) with two
 // sections:
@@ -11,15 +11,23 @@
 //     baseline.
 //   "modeled": wall time predicted from the measured serial per-stage
 //     costs under P genuinely concurrent workers. Run sequentially, every
-//     stage is paid in turn; the pipeline leaves only record framing as
-//     the sequential residue (the paper's §III-B observation):
+//     stage is paid in turn; the pipeline leaves record framing and the
+//     ordered shard writes as serial stages that overlap each other and
+//     the workers (the paper's §III-B observation), then commits the
+//     shards (fsync + rename) and builds the BAIX:
 //
-//       T_seq     = t_decode + t_frame + t_parse + t_encode + t_restride
-//       T_pipe(P) = max(t_frame, (t_decode + t_parse + t_encode) / P)
-//                   + t_restride / P
+//       T_seq     = t_decode + t_frame + t_parse + t_encode + t_write
+//                   + t_sync + t_index
+//       T_pipe(P) = max(t_frame, t_write,
+//                       (t_decode + t_parse + t_encode) / P)
+//                   + t_sync + t_index
+//
+//     t_index is a serial stable sort of every entry plus the save, an
+//     upper bound on the pipeline's merge of sorted per-chunk runs.
 //
 // Usage: bench_preproc [--pairs N] [--repeats R] [--json PATH]
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -123,24 +131,41 @@ int main(int argc, char** argv) {
     }
     t_encode = timer.seconds();
   }
-  // t_restride: section-wise copy of every encoded record into a fresh
-  // buffer (what the final sharding pass costs per record).
-  double t_restride;
+  // t_write: the ordered commit appending every chunk blob to a shard
+  // (chunks of PreprocessOptions::chunk_records records); t_sync: the
+  // shard commit after the pass (fsync + rename).
+  double t_write;
+  double t_sync;
   {
-    const uint64_t stride = layout.stride();
-    std::string out;
+    TempDir out("bench_preproc_write");
+    OutputFile shard(out.file("x-shard-0.bamx"));
+    const size_t chunk_bytes =
+        core::PreprocessOptions{}.chunk_records * layout.stride();
     WallTimer timer;
-    for (uint64_t i = 0; i < bodies.size(); ++i) {
-      out.clear();
-      bamx::restride_record(
-          std::string_view(blob).substr(i * stride, stride), layout, layout,
-          out);
+    for (size_t at = 0; at < blob.size(); at += chunk_bytes) {
+      shard.write(std::string_view(blob).substr(at, chunk_bytes));
     }
-    t_restride = timer.seconds();
+    t_write = timer.seconds();
+    WallTimer sync_timer;
+    shard.close();
+    t_sync = sync_timer.seconds();
+  }
+  // t_index: the BAIX over every record, sorted and saved.
+  double t_index;
+  {
+    TempDir out("bench_preproc_index");
+    std::vector<bamx::BaixEntry> entries;
+    entries.reserve(shapes.size());
+    for (size_t i = 0; i < shapes.size(); ++i) {
+      entries.push_back(bamx::BaixEntry{shapes[i].ref_id, shapes[i].pos, i});
+    }
+    WallTimer timer;
+    bamx::BaixIndex::from_entries(std::move(entries)).save(out.file("x.baix"));
+    t_index = timer.seconds();
   }
   std::printf("serial stage costs: decode %.3f s, frame %.3f s, parse %.3f "
-              "s, encode %.3f s, restride %.3f s\n",
-              t_decode, t_frame, t_parse, t_encode, t_restride);
+              "s, encode %.3f s, write %.3f s, sync %.3f s, index %.3f s\n",
+              t_decode, t_frame, t_parse, t_encode, t_write, t_sync, t_index);
 
   // ------------------------------------------------------------- measured
   std::vector<Measured> measured;
@@ -168,14 +193,16 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------- modeled
-  const double t_seq = t_decode + t_frame + t_parse + t_encode + t_restride;
+  const double t_seq = t_decode + t_frame + t_parse + t_encode + t_write +
+                       t_sync + t_index;
   const std::vector<int> model_threads = {1, 2, 4, 8, 16};
   std::vector<double> modeled_s;
   std::printf("modeled (P concurrent workers, from serial stage costs; "
               "sequential baseline %.3f s):\n", t_seq);
   for (int p : model_threads) {
-    double pipe = std::max(t_frame, (t_decode + t_parse + t_encode) / p) +
-                  t_restride / p;
+    double pipe =
+        std::max({t_frame, t_write, (t_decode + t_parse + t_encode) / p}) +
+        t_sync + t_index;
     modeled_s.push_back(pipe);
     std::printf("  P=%-2d %8.3f s (%.2fx over sequential)\n", p, pipe,
                 t_seq / pipe);
@@ -195,7 +222,9 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"frame_s\": %.4f,\n", t_frame);
   std::fprintf(f, "  \"parse_s\": %.4f,\n", t_parse);
   std::fprintf(f, "  \"encode_s\": %.4f,\n", t_encode);
-  std::fprintf(f, "  \"restride_s\": %.4f,\n", t_restride);
+  std::fprintf(f, "  \"write_s\": %.4f,\n", t_write);
+  std::fprintf(f, "  \"sync_s\": %.4f,\n", t_sync);
+  std::fprintf(f, "  \"index_s\": %.4f,\n", t_index);
   std::fprintf(f, "  \"sequential_modeled_s\": %.4f,\n", t_seq);
   std::fprintf(f, "  \"measured\": [\n");
   for (size_t i = 0; i < measured.size(); ++i) {

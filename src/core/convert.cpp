@@ -395,8 +395,8 @@ uint64_t dataset_bytes(const DatasetPaths& paths,
                        const std::string& manifest_path,
                        const std::string& baix_path) {
   uint64_t bytes = ngsx::file_size(manifest_path) + ngsx::file_size(baix_path);
-  for (const bamx::ManifestShard& s : manifest.shards) {
-    bytes += ngsx::file_size(paths.dir + "/" + s.path);
+  for (const std::string& shard : manifest.shards) {
+    bytes += ngsx::file_size(paths.dir + "/" + shard);
   }
   return bytes;
 }
@@ -525,7 +525,6 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
   const DatasetPaths paths(manifest_path);
 
   bam::BamFileReader reader(bam_path, options.decode_threads);
-  const SamHeader header = reader.header();
 
   // One raw chunk = the framed (but undecoded) bodies of up to
   // chunk_records BAM records; one encoded chunk = those records under a
@@ -539,38 +538,25 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
     std::string blob;
     std::vector<bamx::BaixEntry> entries;
   };
-  /// A committed chunk inside the staging file, still on its local layout.
-  struct Segment {
-    bamx::BamxLayout layout;
-    uint64_t n_records = 0;
-    uint64_t offset = 0;
-  };
 
-  // The staging file holds the local-layout chunk blobs between the
-  // pipeline and the re-stride pass; it is scratch, never published, and
-  // removed on every exit path.
-  const std::string staging_path = manifest_path + ".segs.tmp";
-  struct StagingGuard {
-    std::string path;
-    ~StagingGuard() {
-      std::error_code ec;
-      fs::remove(path, ec);
-    }
-  } staging_guard{staging_path};
-
-  std::vector<Segment> segments;
+  bamx::BamxManifest manifest;
+  manifest.header = reader.header();
+  // Chunk blobs go straight to their shard, unbuffered: each is already
+  // one large write.
+  std::vector<std::unique_ptr<OutputFile>> shards;
+  for (int k = 0; k < n_shards; ++k) {
+    manifest.shards.push_back(paths.shard_name(k));
+    shards.push_back(std::make_unique<OutputFile>(paths.shard_path(k), 0));
+  }
   std::vector<std::vector<bamx::BaixEntry>> runs;
-  bamx::BamxLayout global;
-  uint64_t total_records = 0;
-  uint64_t staging_bytes = 0;
 
-  // Stage 1 — the single pass: serial framing source, parallel
-  // parse+encode workers, ordered committer (ticket order == file order,
-  // so record bases and the staged byte order equal the sequential pass).
-  {
-    obs::Span span("convert", "preprocess.pipeline");
-    OutputFile staging(staging_path, 1 << 20, OutputFile::Commit::kDirect);
-    try {
+  try {
+    // The single pass: serial framing source, parallel parse+encode
+    // workers, ordered committer. Ticket order is file order, so record
+    // bases and the BAIX equal the sequential pass; chunk t becomes the
+    // next segment of shard t % M, appended as it was encoded.
+    {
+      obs::Span span("convert", "preprocess.pipeline");
       exec::PipelineOptions popt;
       popt.workers = threads;
       exec::ordered_pipeline<RawChunk, EncodedChunk>(
@@ -614,92 +600,43 @@ PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
                              bamx::baix_entry_less);
             return out;
           },
-          [&](EncodedChunk&& chunk, uint64_t) {
+          [&](EncodedChunk&& chunk, uint64_t ticket) {
             obs::Span commit_span("convert", "preprocess.commit");
             const uint64_t n = chunk.entries.size();
             for (bamx::BaixEntry& e : chunk.entries) {
-              e.record_index += total_records;
+              e.record_index += manifest.n_records;
             }
             runs.push_back(std::move(chunk.entries));
-            segments.push_back(Segment{chunk.layout, n, staging_bytes});
-            staging.write(chunk.blob);
-            staging_bytes += chunk.blob.size();
-            global.merge(chunk.layout);
-            total_records += n;
+            const auto shard = static_cast<uint32_t>(ticket % n_shards);
+            shards[shard]->write(chunk.blob);
+            manifest.segments.push_back(
+                bamx::ManifestSegment{shard, chunk.layout, n});
+            manifest.n_records += n;
           },
           popt);
-      staging.close();
-    } catch (...) {
-      staging.discard();
-      throw;
     }
-  }
-  stats.records = total_records;
-  if (obs::metrics_enabled()) {
-    obs::counter("convert.preprocess.chunks").add(segments.size());
-    obs::counter("convert.preprocess.shards").add(n_shards);
-  }
-
-  // Stage 2a — parallel re-stride: each shard owner copies its record
-  // range out of the staging segments into a final atomic-commit BAMX
-  // carrying the merged global layout. Per-section byte copies — no
-  // re-parse; restride_record output is bit-identical to a direct encode
-  // under the global layout.
-  std::vector<uint64_t> seg_bases(segments.size() + 1, 0);
-  for (size_t s = 0; s < segments.size(); ++s) {
-    seg_bases[s + 1] = seg_bases[s] + segments[s].n_records;
-  }
-  auto shard_ranges = split_records(total_records, n_shards);
-  bamx::BamxManifest manifest;
-  manifest.layout = global;
-  manifest.n_records = total_records;
-  manifest.shards.resize(static_cast<size_t>(n_shards));
-  {
-    obs::Span span("convert", "preprocess.restride");
-    InputFile staged(staging_path);
+    // Commit the shards (fsync + rename) side by side, then merge the
+    // per-chunk sorted BAIX runs and publish the index and the manifest.
     exec::TaskGroup group(exec::process_pool());
-    for (int s = 0; s < n_shards; ++s) {
-      group.spawn([&, s] {
-        auto [lo, hi] = shard_ranges[static_cast<size_t>(s)];
-        bamx::BamxWriter writer(paths.shard_path(s), header, global);
-        size_t seg = static_cast<size_t>(
-            std::upper_bound(seg_bases.begin(), seg_bases.end() - 1, lo) -
-            seg_bases.begin() - 1);
-        std::string bytes;
-        std::string rec_out;
-        for (uint64_t at = lo; at < hi;) {
-          while (seg_bases[seg + 1] <= at) {
-            ++seg;
-          }
-          const Segment& segment = segments[seg];
-          const uint64_t from_stride = segment.layout.stride();
-          const uint64_t take =
-              std::min<uint64_t>(hi, seg_bases[seg + 1]) - at;
-          bytes = staged.read_at(
-              segment.offset + (at - seg_bases[seg]) * from_stride,
-              static_cast<size_t>(take * from_stride));
-          for (uint64_t k = 0; k < take; ++k) {
-            rec_out.clear();
-            bamx::restride_record(
-                std::string_view(bytes).substr(
-                    static_cast<size_t>(k * from_stride),
-                    static_cast<size_t>(from_stride)),
-                segment.layout, global, rec_out);
-            writer.write_raw(rec_out);
-          }
-          at += take;
-        }
-        writer.close();
-        manifest.shards[static_cast<size_t>(s)] =
-            bamx::ManifestShard{paths.shard_name(s), hi - lo, lo};
-      });
+    for (auto& shard : shards) {
+      group.spawn([&shard] { shard->close(); });
     }
     group.wait();
+    publish_dataset(std::move(runs), manifest, manifest_path, baix_path);
+  } catch (...) {
+    // A failed preprocess leaves no shard behind, committed or not.
+    for (auto& shard : shards) {
+      shard->discard();
+      std::error_code ec;
+      fs::remove(shard->path(), ec);
+    }
+    throw;
   }
-
-  // Stage 2b — merge the per-chunk sorted BAIX runs (ticket order is
-  // record order) on the pool, then publish the index and the manifest.
-  publish_dataset(std::move(runs), manifest, manifest_path, baix_path);
+  stats.records = manifest.n_records;
+  if (obs::metrics_enabled()) {
+    obs::counter("convert.preprocess.chunks").add(manifest.segments.size());
+    obs::counter("convert.preprocess.shards").add(n_shards);
+  }
   stats.bytes_out = dataset_bytes(paths, manifest, manifest_path, baix_path);
   stats.seconds = timer.seconds();
   record_preprocess_stats(stats);
@@ -726,7 +663,6 @@ ConvertStats convert_bamx(const std::string& bamx_path,
   const bamx::RecordSource& probe = session.source();
   const SamHeader header = session.header();
   const uint64_t n_records = session.num_records();
-  const uint64_t stride = session.stride();
 
   // Partial conversion: locate the region in the BAIX by binary search
   // (paper §III-B); each rank then converts an equal share of the matching
@@ -754,7 +690,7 @@ ConvertStats convert_bamx(const std::string& bamx_path,
       parse = [&](const Chunk& chunk) {
         ChunkResult out;
         probe.read_range(chunk.begin, chunk.end, out.records);
-        out.bytes_in = (chunk.end - chunk.begin) * stride;
+        out.bytes_in = bamx::encoded_bytes(probe, chunk.begin, chunk.end);
         return out;
       };
     } else {
@@ -763,12 +699,13 @@ ConvertStats convert_bamx(const std::string& bamx_path,
           options.record_batch);
       parse = [&](const Chunk& chunk) {
         ChunkResult out;
-        out.bytes_in = (chunk.end - chunk.begin) * stride;
         for (uint64_t e = chunk.begin; e < chunk.end; ++e) {
-          const bamx::BaixEntry& entry =
-              session.baix().entry(region_first + static_cast<size_t>(e));
+          const uint64_t i =
+              session.baix().entry(region_first + static_cast<size_t>(e))
+                  .record_index;
           out.records.emplace_back();
-          probe.read(entry.record_index, out.records.back());
+          probe.read(i, out.records.back());
+          out.bytes_in += bamx::encoded_bytes(probe, i, i + 1);
         }
         return out;
       };
@@ -812,8 +749,8 @@ ConvertStats convert_bamx(const std::string& bamx_path,
             ++local.records_out;
           }
         }
+        local.bytes_in += bamx::encoded_bytes(reader, at, at + take);
         at += take;
-        local.bytes_in += take * stride;
       }
     } else {
       // Partial conversion: equal share of BAIX entries, random access per
@@ -827,7 +764,8 @@ ConvertStats convert_bamx(const std::string& bamx_path,
             session.baix().entry(region_first + static_cast<size_t>(e));
         reader.read(entry.record_index, rec);
         ++local.records_in;
-        local.bytes_in += stride;
+        local.bytes_in += bamx::encoded_bytes(reader, entry.record_index,
+                                              entry.record_index + 1);
         if (writer->write(rec)) {
           ++local.records_out;
         }
@@ -866,7 +804,6 @@ ConvertStats convert_bamx_filtered(const std::string& bamx_path,
   ConversionSession session(SessionOptions{bamx_path, {}, baix2_path});
   const bamx::RecordSource& probe = session.source();
   const SamHeader header = session.header();
-  const uint64_t stride = session.stride();
 
   // Resolve the matching record set on the index alone, then hand each
   // rank an equal share (indices are ascending, so shares stay I/O-local).
@@ -881,10 +818,11 @@ ConvertStats convert_bamx_filtered(const std::string& bamx_path,
         chunks, options.ranks, out_dir, options, header,
         [&](const Chunk& chunk) {
           ChunkResult out;
-          out.bytes_in = (chunk.end - chunk.begin) * stride;
           for (uint64_t k = chunk.begin; k < chunk.end; ++k) {
+            const uint64_t i = matches[static_cast<size_t>(k)];
             out.records.emplace_back();
-            probe.read(matches[static_cast<size_t>(k)], out.records.back());
+            probe.read(i, out.records.back());
+            out.bytes_in += bamx::encoded_bytes(probe, i, i + 1);
           }
           return out;
         });
@@ -913,9 +851,10 @@ ConvertStats convert_bamx_filtered(const std::string& bamx_path,
     auto [begin, end] = shares[static_cast<size_t>(rank)];
     AlignmentRecord rec;
     for (uint64_t k = begin; k < end; ++k) {
-      reader.read(matches[static_cast<size_t>(k)], rec);
+      const uint64_t i = matches[static_cast<size_t>(k)];
+      reader.read(i, rec);
       ++local.records_in;
-      local.bytes_in += stride;
+      local.bytes_in += bamx::encoded_bytes(reader, i, i + 1);
       if (writer->write(rec)) {
         ++local.records_out;
       }
@@ -996,34 +935,41 @@ PreprocessStats preprocess_sam_parallel(const std::string& sam_path,
     };
 
     // Pass 1 (measure): this partition's layout and record count. Every
-    // rank then derives the same manifest: the merged global layout and
-    // each shard's record base (a prefix sum over ranks).
+    // rank then derives the same manifest: one segment per rank, in rank
+    // order, each in its own shard under its own layout; this rank's
+    // record base is a prefix sum over ranks.
     Measure local;
     for_each_record([&](const AlignmentRecord& rec) {
       local.layout.accommodate(rec);
       ++local.n_records;
     });
     bamx::BamxManifest manifest;
+    manifest.header = header;
+    uint64_t base = 0;
     for (const Measure& m : comm.allgather_values(local)) {
-      manifest.layout.merge(m.layout);
-      manifest.shards.push_back(bamx::ManifestShard{
-          paths.shard_name(static_cast<int>(manifest.shards.size())),
-          m.n_records, manifest.n_records});
+      const auto k = static_cast<uint32_t>(manifest.shards.size());
+      if (k == static_cast<uint32_t>(rank)) {
+        base = manifest.n_records;
+      }
+      manifest.shards.push_back(paths.shard_name(static_cast<int>(k)));
+      manifest.segments.push_back(
+          bamx::ManifestSegment{k, m.layout, m.n_records});
       manifest.n_records += m.n_records;
     }
-    const uint64_t base =
-        manifest.shards[static_cast<size_t>(rank)].record_base;
 
-    // Pass 2 (encode): shard `rank` under the global layout, plus this
+    // Pass 2 (encode): shard `rank` under this rank's layout, plus this
     // rank's sorted BAIX run over global record indices.
     std::vector<bamx::BaixEntry> run;
     run.reserve(local.n_records);
-    bamx::BamxWriter writer(paths.shard_path(rank), header, manifest.layout);
+    OutputFile shard(paths.shard_path(rank));
+    std::string encoded;
     for_each_record([&](const AlignmentRecord& rec) {
-      writer.write(rec);
+      encoded.clear();
+      bamx::encode_record(rec, local.layout, encoded);
+      shard.write(encoded);
       run.push_back(bamx::BaixEntry{rec.ref_id, rec.pos, base + run.size()});
     });
-    writer.close();
+    shard.close();
     std::stable_sort(run.begin(), run.end(), bamx::baix_entry_less);
 
     // The runs travel to rank 0 as messages, so every transport works;

@@ -18,9 +18,12 @@
 //                                       converter 2's.
 //
 // Both preprocessors publish the same on-disk layout: a BAMXM manifest,
-// M BAMX shards "<stem>-shard-<k>.bamx" carrying one global layout, and one
-// merged BAIX (docs/FILEFORMATS.md). convert_bamx, ConversionSession and
-// ngsx_serve read it, whichever preprocessor wrote it.
+// M shards "<stem>-shard-<k>.bamx" of bare record bytes, and one merged
+// BAIX (docs/FILEFORMATS.md). The manifest lists the records as segments,
+// each stored in one shard under its own layout, as the paper's
+// per-process BAMX files each carry their own stride. convert_bamx,
+// ConversionSession and ngsx_serve read it, whichever preprocessor wrote
+// it.
 //
 // Ranks execute as minimpi ranks (threads standing in for MPI processes);
 // each rank opens the input independently and writes its own part file,
@@ -124,24 +127,21 @@ struct PreprocessOptions {
   size_t chunk_records = 4096;  // records per pipeline ticket
 };
 
-/// Single-pass parallel preprocessing: BAM -> M BAMX shards + BAMXM
-/// manifest + merged BAIX. Record framing stays serial (the §III-B
-/// constraint) but runs once, on the calling thread, feeding an
-/// exec::ordered_pipeline on the process pool whose tasks parse and encode
-/// chunks under chunk-local layouts; the ordered commit stages the chunk
-/// blobs and merges the global layout, and a final parallel pass
-/// re-strides the staged records into M shards carrying the global layout
-/// while the per-chunk sorted BAIX runs are merged on the pool. The
-/// published BAMX record bytes and BAIX are bit-identical to a sequential
-/// encode of every record under the global layout (the shards concatenate
-/// to its data section), whatever the width or shard count.
-/// `threads` = 1 runs the same single pass at width 1.
+/// Single-pass parallel preprocessing: BAM -> M shards + BAMXM manifest +
+/// merged BAIX. Record framing stays serial (the §III-B constraint) but
+/// runs once, on the calling thread, feeding an exec::ordered_pipeline on
+/// the process pool whose tasks parse and encode chunks under chunk-local
+/// layouts. The ordered commit appends chunk t, as encoded, to shard
+/// t % M as the manifest's next segment, and the per-chunk sorted BAIX
+/// runs are merged on the pool. Every segment is byte-identical to a
+/// sequential encode of its records under its own layout, and the BAIX to
+/// BaixIndex::from_entries over every record, whatever the width or shard
+/// count. `threads` = 1 runs the same single pass at width 1.
 ///
 /// Writes `manifest_path` (must end in ".bamxm"), shards named
 /// "<manifest stem>-shard-<k>.bamx" next to it, and `baix_path`. Shards
-/// are committed atomically and the manifest is written last, so a failure
-/// mid-preprocess never publishes a partial shard or a manifest pointing at
-/// one.
+/// are committed atomically and the manifest is written last; a failure
+/// mid-preprocess removes every shard and never publishes a manifest.
 PreprocessStats preprocess_bam_parallel(const std::string& bam_path,
                                         const std::string& manifest_path,
                                         const std::string& baix_path,
@@ -186,12 +186,13 @@ ConvertStats convert_bam_sequential(const std::string& bam_path,
 // ---------------------------------------------------------------------------
 
 /// Parallel preprocessing: SAM is partitioned with Algorithm 1 across
-/// `m_ranks`. Each rank measures its partition, the ranks agree on the
-/// global layout and their record bases, and rank k encodes shard k under
-/// that layout. Writes the same layout as preprocess_bam_parallel — the
-/// manifest, "<manifest stem>-shard-<k>.bamx" next to it (one per rank) and
-/// the merged `baix_path` — and for the same records the BAIX bytes and the
-/// concatenated shard data are identical. The manifest is written last.
+/// `m_ranks`. Each rank measures its partition, the ranks exchange their
+/// layouts and record counts to find their record bases, and rank k
+/// writes shard k as one segment under its own layout. Writes the same
+/// layout as preprocess_bam_parallel — the manifest, "<manifest
+/// stem>-shard-<k>.bamx" next to it (one per rank) and the merged
+/// `baix_path` — and for the same records both publish the same records
+/// and the same BAIX bytes. The manifest is written last.
 PreprocessStats preprocess_sam_parallel(const std::string& sam_path,
                                         const std::string& manifest_path,
                                         const std::string& baix_path,

@@ -63,7 +63,6 @@ class ConversionSession {
   const sam::SamHeader& header() const { return header_; }
   const bamx::RecordSource& source() const { return *source_; }
   uint64_t num_records() const { return source_->num_records(); }
-  uint64_t stride() const { return source_->layout().stride(); }
 
   bool has_baix() const { return !options_.baix_path.empty(); }
   bool has_baix2() const { return !options_.baix2_path.empty(); }

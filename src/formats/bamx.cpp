@@ -34,12 +34,37 @@ constexpr std::string_view kBamxMagic{"BAMX\1", 5};
 constexpr std::string_view kBaixMagic{"BAIX\1", 5};
 constexpr std::string_view kManifestMagic{"BAMXM\1", 6};
 constexpr uint16_t kVersion = 1;
+constexpr uint16_t kManifestVersion = 2;
 
 /// True if a record with these section lengths fits `layout`.
 bool fits_lengths(const BamxLayout& layout, size_t qname, size_t cigar,
                   size_t seq, size_t aux) {
   return qname <= layout.max_qname && cigar <= layout.max_cigar &&
          seq <= layout.max_seq && aux <= layout.max_aux;
+}
+
+/// Parses the BAM-style header blob a BAMX file or a BAMXM manifest
+/// embeds (magic, text, reference dictionary).
+SamHeader decode_header_blob(std::string_view blob, const std::string& path) {
+  ByteReader hr(blob);
+  if (hr.read_bytes(4) != std::string_view("BAM\1", 4)) {
+    throw FormatError("bad embedded header magic in '" + path + "'");
+  }
+  int32_t l_text = hr.read<int32_t>();
+  std::string text(hr.read_bytes(static_cast<size_t>(l_text)));
+  int32_t n_ref = hr.read<int32_t>();
+  std::vector<sam::Reference> refs;
+  for (int32_t i = 0; i < n_ref; ++i) {
+    int32_t l_name = hr.read<int32_t>();
+    std::string_view name = hr.read_bytes(static_cast<size_t>(l_name));
+    int32_t l_ref = hr.read<int32_t>();
+    refs.push_back(
+        sam::Reference{std::string(name.substr(0, name.size() - 1)), l_ref});
+  }
+  SamHeader from_text = SamHeader::from_text(text);
+  return from_text.references().size() == refs.size()
+             ? std::move(from_text)
+             : SamHeader::from_references(std::move(refs));
 }
 
 }  // namespace
@@ -59,13 +84,6 @@ void BamxLayout::accommodate(const bam::RecordShape& shape) {
   max_cigar = std::max(max_cigar, shape.n_cigar);
   max_seq = std::max(max_seq, shape.seq_len);
   max_aux = std::max(max_aux, shape.aux_len);
-}
-
-void BamxLayout::merge(const BamxLayout& other) {
-  max_qname = std::max(max_qname, other.max_qname);
-  max_cigar = std::max(max_cigar, other.max_cigar);
-  max_seq = std::max(max_seq, other.max_seq);
-  max_aux = std::max(max_aux, other.max_aux);
 }
 
 bool BamxLayout::fits(const AlignmentRecord& rec) const {
@@ -175,32 +193,6 @@ void transcode_bam_record(std::string_view body, const bam::RecordShape& shape,
                      p + layout.aux_offset());
 }
 
-void restride_record(std::string_view src, const BamxLayout& from,
-                     const BamxLayout& to, std::string& out) {
-  NGSX_CHECK_MSG(src.size() == from.stride(),
-                 "restride source is not one source-layout record");
-  NGSX_CHECK_MSG(to.max_qname >= from.max_qname &&
-                     to.max_cigar >= from.max_cigar &&
-                     to.max_seq >= from.max_seq && to.max_aux >= from.max_aux,
-                 "restride target layout does not cover source layout");
-  size_t base = out.size();
-  out.resize(base + to.stride(), '\0');
-  char* p = out.data() + base;
-  const char* s = src.data();
-  // Each padded section of `src` is its field bytes followed by zeros (or
-  // the qual section's 0xFF absent-quality fill, confined to seq_len <=
-  // max_seq bytes), so copying whole source sections into the zeroed
-  // destination reproduces encode_record's bytes under `to` exactly.
-  std::memcpy(p, s, 36);
-  std::memcpy(p + to.qname_offset(), s + from.qname_offset(), from.max_qname);
-  std::memcpy(p + to.cigar_offset(), s + from.cigar_offset(),
-              4ull * from.max_cigar);
-  std::memcpy(p + to.seq_offset(), s + from.seq_offset(),
-              (from.max_seq + 1) / 2);
-  std::memcpy(p + to.qual_offset(), s + from.qual_offset(), from.max_seq);
-  std::memcpy(p + to.aux_offset(), s + from.aux_offset(), from.max_aux);
-}
-
 // -------------------------------------------------------------------- decode
 
 void decode_record(std::string_view body, const BamxLayout& layout,
@@ -297,14 +289,6 @@ void BamxWriter::write(const AlignmentRecord& rec) {
   ++n_records_;
 }
 
-void BamxWriter::write_raw(std::string_view encoded) {
-  NGSX_CHECK_MSG(!closed_, "write on closed BAMX writer");
-  NGSX_CHECK_MSG(encoded.size() == layout_.stride(),
-                 "raw BAMX record does not match the writer's stride");
-  out_->write(encoded);
-  ++n_records_;
-}
-
 void BamxWriter::close() {
   if (closed_) {
     return;
@@ -351,27 +335,7 @@ BamxReader::BamxReader(const std::string& path) : file_(path) {
   uint64_t blob_size = r.read<uint64_t>();
   data_offset_ = head.size() + blob_size;
 
-  std::string blob = file_.read_at(head.size(), blob_size);
-  // Parse the embedded BAM-style header blob.
-  ByteReader hr(blob);
-  if (hr.read_bytes(4) != std::string_view("BAM\1", 4)) {
-    throw FormatError("bad embedded header magic in BAMX '" + path + "'");
-  }
-  int32_t l_text = hr.read<int32_t>();
-  std::string text(hr.read_bytes(static_cast<size_t>(l_text)));
-  int32_t n_ref = hr.read<int32_t>();
-  std::vector<sam::Reference> refs;
-  for (int32_t i = 0; i < n_ref; ++i) {
-    int32_t l_name = hr.read<int32_t>();
-    std::string_view name = hr.read_bytes(static_cast<size_t>(l_name));
-    int32_t l_ref = hr.read<int32_t>();
-    refs.push_back(
-        sam::Reference{std::string(name.substr(0, name.size() - 1)), l_ref});
-  }
-  SamHeader from_text = SamHeader::from_text(text);
-  header_ = from_text.references().size() == refs.size()
-                ? std::move(from_text)
-                : SamHeader::from_references(std::move(refs));
+  header_ = decode_header_blob(file_.read_at(head.size(), blob_size), path);
 
   uint64_t expected = data_offset_ + n_records_ * layout_.stride();
   if (file_.size() < expected) {
@@ -380,37 +344,9 @@ BamxReader::BamxReader(const std::string& path) : file_(path) {
   }
 }
 
-void BamxReader::read(uint64_t i, AlignmentRecord& rec) const {
+Segment BamxReader::segment_of(uint64_t i) const {
   NGSX_CHECK_MSG(i < n_records_, "BAMX record index out of range");
-  std::string body =
-      file_.read_at(data_offset_ + i * layout_.stride(), layout_.stride());
-  decode_record(body, layout_, rec);
-}
-
-std::pair<int32_t, int32_t> BamxReader::read_ref_pos(uint64_t i) const {
-  NGSX_CHECK_MSG(i < n_records_, "BAMX record index out of range");
-  std::string body = file_.read_at(data_offset_ + i * layout_.stride(), 8);
-  return peek_ref_pos(body);
-}
-
-void BamxReader::read_range(uint64_t begin, uint64_t end,
-                            std::vector<AlignmentRecord>& out) const {
-  NGSX_CHECK_MSG(begin <= end && end <= n_records_,
-                 "BAMX record range out of bounds");
-  if (begin == end) {
-    return;
-  }
-  // One bulk positioned read, then slice per record.
-  uint64_t stride = layout_.stride();
-  std::string bytes =
-      file_.read_at(data_offset_ + begin * stride, (end - begin) * stride);
-  NGSX_CHECK(bytes.size() == (end - begin) * stride);
-  size_t base = out.size();
-  out.resize(base + (end - begin));
-  for (uint64_t i = 0; i < end - begin; ++i) {
-    decode_record(std::string_view(bytes).substr(i * stride, stride), layout_,
-                  out[base + i]);
-  }
+  return Segment{0, n_records_, layout_};
 }
 
 void BamxReader::read_raw_range(uint64_t begin, uint64_t end,
@@ -420,11 +356,59 @@ void BamxReader::read_raw_range(uint64_t begin, uint64_t end,
   if (begin == end) {
     return;
   }
-  uint64_t stride = layout_.stride();
-  std::string bytes =
-      file_.read_at(data_offset_ + begin * stride, (end - begin) * stride);
-  NGSX_CHECK(bytes.size() == (end - begin) * stride);
-  out += bytes;
+  const uint64_t stride = layout_.stride();
+  const size_t base = out.size();
+  out.resize(base + (end - begin) * stride);
+  file_.pread_exact(out.data() + base, (end - begin) * stride,
+                    data_offset_ + begin * stride);
+}
+
+// -------------------------------------------------------------- RecordSource
+
+void RecordSource::read(uint64_t i, AlignmentRecord& rec) const {
+  const Segment seg = segment_of(i);
+  std::string body;
+  read_raw_range(i, i + 1, body);
+  decode_record(body, seg.layout, rec);
+}
+
+std::pair<int32_t, int32_t> RecordSource::read_ref_pos(uint64_t i) const {
+  std::string body;
+  read_raw_range(i, i + 1, body);
+  return peek_ref_pos(body);
+}
+
+void RecordSource::read_range(uint64_t begin, uint64_t end,
+                              std::vector<AlignmentRecord>& out) const {
+  NGSX_CHECK_MSG(begin <= end && end <= num_records(),
+                 "BAMX record range out of bounds");
+  std::string bytes;
+  for (uint64_t at = begin; at < end;) {
+    const Segment seg = segment_of(at);
+    const uint64_t take = std::min(end, seg.end) - at;
+    const uint64_t stride = seg.layout.stride();
+    bytes.clear();
+    read_raw_range(at, at + take, bytes);
+    const size_t base = out.size();
+    out.resize(base + take);
+    for (uint64_t k = 0; k < take; ++k) {
+      decode_record(std::string_view(bytes).substr(k * stride, stride),
+                    seg.layout, out[base + k]);
+    }
+    at += take;
+  }
+}
+
+uint64_t encoded_bytes(const RecordSource& source, uint64_t begin,
+                       uint64_t end) {
+  uint64_t bytes = 0;
+  for (uint64_t at = begin; at < end;) {
+    const Segment seg = source.segment_of(at);
+    const uint64_t take = std::min(end, seg.end) - at;
+    bytes += take * seg.layout.stride();
+    at += take;
+  }
+  return bytes;
 }
 
 // -------------------------------------------------------------- BamxManifest
@@ -432,20 +416,26 @@ void BamxReader::read_raw_range(uint64_t begin, uint64_t end,
 void BamxManifest::save(const std::string& path) const {
   std::string out;
   out += kManifestMagic;
-  binio::put_le<uint16_t>(out, kVersion);
-  binio::put_le<uint32_t>(out, layout.max_qname);
-  binio::put_le<uint32_t>(out, layout.max_cigar);
-  binio::put_le<uint32_t>(out, layout.max_seq);
-  binio::put_le<uint32_t>(out, layout.max_aux);
-  binio::put_le<uint64_t>(out, layout.stride());
+  binio::put_le<uint16_t>(out, kManifestVersion);
   binio::put_le<uint64_t>(out, n_records);
+  std::string blob;
+  bam::encode_header(header, blob);
+  binio::put_le<uint64_t>(out, blob.size());
+  out += blob;
   binio::put_le<uint32_t>(out, static_cast<uint32_t>(shards.size()));
-  for (const ManifestShard& s : shards) {
-    binio::put_le<uint64_t>(out, s.n_records);
-    binio::put_le<uint64_t>(out, s.record_base);
-    NGSX_CHECK_MSG(s.path.size() <= UINT16_MAX, "manifest shard path too long");
-    binio::put_le<uint16_t>(out, static_cast<uint16_t>(s.path.size()));
-    out += s.path;
+  for (const std::string& shard : shards) {
+    NGSX_CHECK_MSG(shard.size() <= UINT16_MAX, "manifest shard path too long");
+    binio::put_le<uint16_t>(out, static_cast<uint16_t>(shard.size()));
+    out += shard;
+  }
+  binio::put_le<uint64_t>(out, segments.size());
+  for (const ManifestSegment& seg : segments) {
+    binio::put_le<uint32_t>(out, seg.shard);
+    binio::put_le<uint32_t>(out, seg.layout.max_qname);
+    binio::put_le<uint32_t>(out, seg.layout.max_cigar);
+    binio::put_le<uint32_t>(out, seg.layout.max_seq);
+    binio::put_le<uint32_t>(out, seg.layout.max_aux);
+    binio::put_le<uint64_t>(out, seg.n_records);
   }
   write_file(path, out);
 }
@@ -456,43 +446,59 @@ BamxManifest BamxManifest::load(const std::string& path) {
   if (r.read_bytes(6) != kManifestMagic) {
     throw FormatError("bad BAMXM magic in '" + path + "'");
   }
-  uint16_t version = r.read<uint16_t>();
-  if (version != kVersion) {
-    throw FormatError("unsupported BAMXM version " + std::to_string(version));
+  const uint16_t version = r.read<uint16_t>();
+  if (version != kManifestVersion) {
+    throw FormatError("unsupported BAMXM version " + std::to_string(version) +
+                      " in '" + path + "' (this build reads version " +
+                      std::to_string(kManifestVersion) +
+                      "; preprocess the input again)");
   }
   BamxManifest m;
-  m.layout.max_qname = r.read<uint32_t>();
-  m.layout.max_cigar = r.read<uint32_t>();
-  m.layout.max_seq = r.read<uint32_t>();
-  m.layout.max_aux = r.read<uint32_t>();
-  uint64_t stride = r.read<uint64_t>();
-  if (stride != m.layout.stride()) {
-    throw FormatError("BAMXM stride mismatch: header says " +
-                      std::to_string(stride) + ", layout derives " +
-                      std::to_string(m.layout.stride()));
-  }
   m.n_records = r.read<uint64_t>();
-  uint32_t n_shards = r.read<uint32_t>();
-  uint64_t expect_base = 0;
+  m.header = decode_header_blob(r.read_bytes(r.read<uint64_t>()), path);
+  const uint32_t n_shards = r.read<uint32_t>();
   for (uint32_t k = 0; k < n_shards; ++k) {
-    ManifestShard s;
-    s.n_records = r.read<uint64_t>();
-    s.record_base = r.read<uint64_t>();
-    if (s.record_base != expect_base) {
-      throw FormatError("BAMXM shard record bases are not contiguous in '" +
-                        path + "'");
-    }
-    expect_base += s.n_records;
-    uint16_t len = r.read<uint16_t>();
-    s.path = std::string(r.read_bytes(len));
-    m.shards.push_back(std::move(s));
-  }
-  if (expect_base != m.n_records) {
-    throw FormatError("BAMXM shard record counts do not sum to n_records in '" +
-                      path + "'");
+    m.shards.emplace_back(r.read_bytes(r.read<uint16_t>()));
   }
   if (m.shards.empty()) {
     throw FormatError("BAMXM manifest lists no shards in '" + path + "'");
+  }
+  const uint64_t n_segments = r.read<uint64_t>();
+  std::vector<uint64_t> shard_bytes(m.shards.size(), 0);
+  uint64_t records = 0;
+  for (uint64_t s = 0; s < n_segments; ++s) {
+    ManifestSegment seg;
+    seg.shard = r.read<uint32_t>();
+    seg.layout.max_qname = r.read<uint32_t>();
+    seg.layout.max_cigar = r.read<uint32_t>();
+    seg.layout.max_seq = r.read<uint32_t>();
+    seg.layout.max_aux = r.read<uint32_t>();
+    seg.n_records = r.read<uint64_t>();
+    if (seg.shard >= m.shards.size()) {
+      throw FormatError("BAMXM segment " + std::to_string(s) +
+                        " names shard " + std::to_string(seg.shard) + " of " +
+                        std::to_string(m.shards.size()) + " in '" + path +
+                        "'");
+    }
+    const uint64_t stride = seg.layout.stride();
+    uint64_t& shard_total = shard_bytes[seg.shard];
+    if (seg.n_records > UINT64_MAX / stride ||
+        seg.n_records * stride > UINT64_MAX - shard_total ||
+        seg.n_records > UINT64_MAX - records) {
+      throw FormatError("BAMXM segment " + std::to_string(s) +
+                        " overflows 64-bit sizes in '" + path + "'");
+    }
+    shard_total += seg.n_records * stride;
+    records += seg.n_records;
+    m.segments.push_back(seg);
+  }
+  if (records != m.n_records) {
+    throw FormatError("BAMXM segment record counts do not sum to n_records "
+                      "in '" + path + "'");
+  }
+  if (!r.eof()) {
+    throw FormatError("trailing bytes after the BAMXM segment table in '" +
+                      path + "'");
   }
   return m;
 }
@@ -512,75 +518,57 @@ std::string parent_dir(const std::string& path) {
 ShardedBamxReader::ShardedBamxReader(const std::string& manifest_path)
     : manifest_(BamxManifest::load(manifest_path)) {
   const std::string dir = parent_dir(manifest_path);
+  std::vector<uint64_t> shard_bytes(manifest_.shards.size(), 0);
+  uint64_t base = 0;
+  segments_.reserve(manifest_.segments.size());
+  for (const ManifestSegment& seg : manifest_.segments) {
+    segments_.push_back(Placed{Segment{base, base + seg.n_records, seg.layout},
+                               seg.shard, shard_bytes[seg.shard]});
+    shard_bytes[seg.shard] += seg.n_records * seg.layout.stride();
+    base += seg.n_records;
+  }
   shards_.reserve(manifest_.shards.size());
-  bases_.reserve(manifest_.shards.size() + 1);
-  for (const ManifestShard& s : manifest_.shards) {
-    shards_.emplace_back(dir + "/" + s.path);
-    const BamxReader& shard = shards_.back();
-    if (shard.layout() != manifest_.layout) {
-      throw FormatError("shard '" + s.path +
-                        "' layout disagrees with its manifest");
+  for (size_t k = 0; k < manifest_.shards.size(); ++k) {
+    shards_.emplace_back(dir + "/" + manifest_.shards[k]);
+    if (shards_.back().size() != shard_bytes[k]) {
+      throw FormatError("shard '" + manifest_.shards[k] + "' holds " +
+                        std::to_string(shards_.back().size()) +
+                        " bytes, its manifest segments need " +
+                        std::to_string(shard_bytes[k]));
     }
-    if (shard.num_records() != s.n_records) {
-      throw FormatError("shard '" + s.path + "' holds " +
-                        std::to_string(shard.num_records()) +
-                        " records, manifest says " +
-                        std::to_string(s.n_records));
-    }
-    bases_.push_back(s.record_base);
   }
-  bases_.push_back(manifest_.n_records);
 }
 
-const SamHeader& ShardedBamxReader::header() const {
-  return shards_.front().header();
-}
-
-size_t ShardedBamxReader::shard_of(uint64_t i) const {
+const ShardedBamxReader::Placed& ShardedBamxReader::placed_of(
+    uint64_t i) const {
   NGSX_CHECK_MSG(i < manifest_.n_records, "BAMX record index out of range");
-  // bases_ is ascending with a sentinel; find the last base <= i. Empty
-  // shards (possible when records < shards) contribute repeated bases, so
-  // step past them to a shard that actually holds record i.
-  size_t k = static_cast<size_t>(
-      std::upper_bound(bases_.begin(), bases_.end() - 1, i) - bases_.begin());
-  return k - 1;
+  // The last segment starting at or before i; empty segments share their
+  // base with the next one and sort before it, so this skips them.
+  auto it = std::upper_bound(
+      segments_.begin(), segments_.end(), i,
+      [](uint64_t v, const Placed& p) { return v < p.segment.begin; });
+  return *(it - 1);
 }
 
-void ShardedBamxReader::read(uint64_t i, AlignmentRecord& rec) const {
-  size_t k = shard_of(i);
-  shards_[k].read(i - bases_[k], rec);
-}
-
-std::pair<int32_t, int32_t> ShardedBamxReader::read_ref_pos(uint64_t i) const {
-  size_t k = shard_of(i);
-  return shards_[k].read_ref_pos(i - bases_[k]);
-}
-
-void ShardedBamxReader::read_range(uint64_t begin, uint64_t end,
-                                   std::vector<AlignmentRecord>& out) const {
-  NGSX_CHECK_MSG(begin <= end && end <= manifest_.n_records,
-                 "BAMX record range out of bounds");
-  // One bulk read per shard the range crosses.
-  for (uint64_t at = begin; at < end;) {
-    size_t k = shard_of(at);
-    uint64_t take = std::min<uint64_t>(end, bases_[k + 1]) - at;
-    shards_[k].read_range(at - bases_[k], at - bases_[k] + take, out);
-    at += take;
-  }
+Segment ShardedBamxReader::segment_of(uint64_t i) const {
+  return placed_of(i).segment;
 }
 
 void ShardedBamxReader::read_raw_range(uint64_t begin, uint64_t end,
                                        std::string& out) const {
   NGSX_CHECK_MSG(begin <= end && end <= manifest_.n_records,
                  "BAMX record range out of bounds");
-  // One bulk read per shard the range crosses, concatenated in record
-  // order — byte-identical to the monolithic data section.
-  for (uint64_t at = begin; at < end;) {
-    size_t k = shard_of(at);
-    uint64_t take = std::min<uint64_t>(end, bases_[k + 1]) - at;
-    shards_[k].read_raw_range(at - bases_[k], at - bases_[k] + take, out);
-    at += take;
+  if (begin == end) {
+    return;
   }
+  const Placed& p = placed_of(begin);
+  NGSX_CHECK_MSG(end <= p.segment.end,
+                 "raw BAMX record range crosses a segment boundary");
+  const uint64_t stride = p.segment.layout.stride();
+  const size_t base = out.size();
+  out.resize(base + (end - begin) * stride);
+  shards_[p.shard].pread_exact(out.data() + base, (end - begin) * stride,
+                               p.offset + (begin - p.segment.begin) * stride);
 }
 
 std::unique_ptr<RecordSource> open_record_source(const std::string& path) {

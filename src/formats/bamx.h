@@ -12,6 +12,8 @@
 //
 // The per-file maxima are discovered by a measuring pass (the paper's
 // preprocessing); BamxLayout captures them and derives the field offsets.
+// A sharded dataset (BAMXM) keeps one layout per segment of records, as
+// the paper's per-process BAMX files each carry their own stride.
 
 #pragma once
 
@@ -36,9 +38,6 @@ struct BamxLayout {
   /// Grows the capacities to accommodate `rec` (the measuring pass).
   void accommodate(const sam::AlignmentRecord& rec);
   void accommodate(const bam::RecordShape& shape);
-
-  /// Merges another layout (used when combining per-rank measurements).
-  void merge(const BamxLayout& other);
 
   /// True if `rec` fits within the capacities.
   bool fits(const sam::AlignmentRecord& rec) const;
@@ -73,18 +72,6 @@ void encode_record(const sam::AlignmentRecord& rec, const BamxLayout& layout,
 void transcode_bam_record(std::string_view body, const bam::RecordShape& shape,
                           const BamxLayout& layout, std::string& out);
 
-/// Re-encodes the record bytes `src` (exactly `from.stride()` bytes, encoded
-/// under layout `from`) as the byte sequence encode_record would have
-/// produced under layout `to`, appending exactly `to.stride()` bytes to
-/// `out`. Requires every capacity of `to` to be >= the corresponding
-/// capacity of `from` (e.g. `to` obtained by merging `from` into it). This
-/// is what lets a parallel preprocessor encode with chunk-local layouts and
-/// cheaply re-stride to the global layout afterwards, without re-parsing:
-/// each padded section is field bytes followed by zeros, so a section copy
-/// into a zeroed destination reproduces the direct encoding bit-for-bit.
-void restride_record(std::string_view src, const BamxLayout& from,
-                     const BamxLayout& to, std::string& out);
-
 /// Decodes the fixed-stride record at `body` (exactly stride bytes).
 void decode_record(std::string_view body, const BamxLayout& layout,
                    sam::AlignmentRecord& rec);
@@ -102,11 +89,6 @@ class BamxWriter {
 
   void write(const sam::AlignmentRecord& rec);
 
-  /// Appends one already-encoded record (exactly `layout.stride()` bytes,
-  /// encoded under this writer's layout). The re-stride path of the
-  /// parallel preprocessor uses this to avoid decode/encode round trips.
-  void write_raw(std::string_view encoded);
-
   uint64_t records_written() const { return n_records_; }
 
   /// Finalizes the record count in the file header and closes.
@@ -122,10 +104,21 @@ class BamxWriter {
   bool closed_ = false;
 };
 
+/// A run of consecutive records stored under one layout: records
+/// [begin, end). A monolithic BAMX file is one segment; a BAMXM dataset is
+/// an ordered list of them, each with its own layout.
+struct Segment {
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  BamxLayout layout;
+};
+
 /// Random-access view over preprocessed records: what the conversion phase
 /// actually requires of its input. Implemented by BamxReader (one
-/// monolithic BAMX file) and ShardedBamxReader (M shards behind a
-/// manifest), so every converter works unchanged over either.
+/// monolithic BAMX file) and ShardedBamxReader (segments in M shards
+/// behind a manifest), so every converter works unchanged over either:
+/// an implementation provides the segment lookup and the raw reads, and
+/// the decoding reads are built on them.
 ///
 /// Thread-safety contract (relied on by the serving daemon, which issues
 /// many concurrent region queries against ONE shared reader): every method
@@ -138,27 +131,36 @@ class RecordSource {
   virtual ~RecordSource() = default;
 
   virtual const sam::SamHeader& header() const = 0;
-  virtual const BamxLayout& layout() const = 0;
   virtual uint64_t num_records() const = 0;
 
-  /// Reads record `i` (random access — the property BAMX exists for).
-  virtual void read(uint64_t i, sam::AlignmentRecord& rec) const = 0;
+  /// The segment holding record `i` (i < num_records()).
+  virtual Segment segment_of(uint64_t i) const = 0;
 
-  /// Reads only (ref_id, pos) of record `i`.
-  virtual std::pair<int32_t, int32_t> read_ref_pos(uint64_t i) const = 0;
-
-  /// Reads records [begin, end) appending to `out` (bulk I/O).
-  virtual void read_range(uint64_t begin, uint64_t end,
-                          std::vector<sam::AlignmentRecord>& out) const = 0;
-
-  /// Appends the still-encoded bytes of records [begin, end) — exactly
-  /// (end - begin) * stride bytes, byte-identical to the on-disk record
-  /// section — to `out`. This is the block-cache fetch path of the serving
-  /// daemon: cached bytes are decoded lazily per record, so one bulk read
-  /// serves many point lookups without holding decoded objects.
+  /// Appends the still-encoded bytes of records [begin, end), which must
+  /// lie in one segment — exactly (end - begin) * that segment's stride
+  /// bytes, as stored on disk — to `out`. This is the block-cache fetch
+  /// path of the serving daemon: cached bytes are decoded lazily per
+  /// record, so one bulk read serves many point lookups without holding
+  /// decoded objects.
   virtual void read_raw_range(uint64_t begin, uint64_t end,
                               std::string& out) const = 0;
+
+  /// Reads record `i` (random access — the property BAMX exists for).
+  void read(uint64_t i, sam::AlignmentRecord& rec) const;
+
+  /// Reads only (ref_id, pos) of record `i`.
+  std::pair<int32_t, int32_t> read_ref_pos(uint64_t i) const;
+
+  /// Reads records [begin, end) appending to `out`: one bulk read per
+  /// segment the range crosses.
+  void read_range(uint64_t begin, uint64_t end,
+                  std::vector<sam::AlignmentRecord>& out) const;
 };
+
+/// Encoded bytes of records [begin, end) of `source`: the sum of their
+/// segments' strides.
+uint64_t encoded_bytes(const RecordSource& source, uint64_t begin,
+                       uint64_t end);
 
 /// Random-access BAMX reader.
 class BamxReader : public RecordSource {
@@ -166,17 +168,9 @@ class BamxReader : public RecordSource {
   explicit BamxReader(const std::string& path);
 
   const sam::SamHeader& header() const override { return header_; }
-  const BamxLayout& layout() const override { return layout_; }
+  const BamxLayout& layout() const { return layout_; }
   uint64_t num_records() const override { return n_records_; }
-
-  void read(uint64_t i, sam::AlignmentRecord& rec) const override;
-
-  std::pair<int32_t, int32_t> read_ref_pos(uint64_t i) const override;
-
-  /// Reads records [begin, end) appending to `out` (bulk I/O: one pread).
-  void read_range(uint64_t begin, uint64_t end,
-                  std::vector<sam::AlignmentRecord>& out) const override;
-
+  Segment segment_of(uint64_t i) const override;
   void read_raw_range(uint64_t begin, uint64_t end,
                       std::string& out) const override;
 
@@ -192,63 +186,70 @@ class BamxReader : public RecordSource {
 // Shard manifest (BAMXM)
 // ---------------------------------------------------------------------------
 
-/// One shard of a sharded BAMX dataset: a plain BAMX file holding the
-/// contiguous global records [record_base, record_base + n_records).
-struct ManifestShard {
-  std::string path;  // relative to the manifest's directory on disk
-  uint64_t n_records = 0;
-  uint64_t record_base = 0;
-
-  bool operator==(const ManifestShard&) const = default;
-};
-
-/// A BAMX shard manifest ("BAMXM\x01", docs/FILEFORMATS.md): the global
-/// layout every shard was (re-)strided to, the total record count, and the
-/// ordered shard list. Produced by the parallel single-pass preprocessor;
-/// consumed by ShardedBamxReader.
-struct BamxManifest {
+/// One segment of a BAMXM dataset: the next `n_records` records, encoded
+/// under `layout` and appended to shard `shard`.
+struct ManifestSegment {
+  uint32_t shard = 0;
   BamxLayout layout;
   uint64_t n_records = 0;
-  std::vector<ManifestShard> shards;
+
+  bool operator==(const ManifestSegment&) const = default;
+};
+
+/// A BAMX shard manifest ("BAMXM\x01" version 2, docs/FILEFORMATS.md): the
+/// SAM header, the total record count, the shard files (bare record
+/// bytes) and the segments in record order. Record bases and in-shard
+/// byte offsets are prefix sums over the segments. Produced by both
+/// preprocessors; consumed by ShardedBamxReader.
+struct BamxManifest {
+  sam::SamHeader header;
+  uint64_t n_records = 0;
+  std::vector<std::string> shards;  // relative to the manifest's directory
+  std::vector<ManifestSegment> segments;
 
   /// Atomic write. Shard paths are stored as given (they should be
   /// relative names of files living next to the manifest).
   void save(const std::string& path) const;
 
-  /// Loads and validates: magic/version/stride, contiguous record bases
-  /// summing to n_records. Shard paths stay relative; resolve against the
-  /// manifest's directory (ShardedBamxReader does).
+  /// Loads and validates: magic and version, at least one shard, segment
+  /// shard indices in range, segment counts summing to n_records, and no
+  /// segment or shard byte size overflowing 64 bits. Shard paths stay
+  /// relative; resolve against the manifest's directory (ShardedBamxReader
+  /// does).
   static BamxManifest load(const std::string& path);
 
   bool operator==(const BamxManifest&) const = default;
 };
 
-/// RecordSource over a BAMXM manifest: M shard readers presented as one
-/// contiguous record space. Every shard must carry the manifest's layout,
-/// so global record i lives at a computable offset inside its shard.
+/// RecordSource over a BAMXM manifest: the segments of M shard files
+/// presented as one record space. Record i is found by a binary search
+/// over the segment bases, then one multiply by its segment's stride.
+/// Every shard's size must equal the bytes of its segments.
 class ShardedBamxReader : public RecordSource {
  public:
   explicit ShardedBamxReader(const std::string& manifest_path);
 
-  const sam::SamHeader& header() const override;
-  const BamxLayout& layout() const override { return manifest_.layout; }
+  const sam::SamHeader& header() const override { return manifest_.header; }
   uint64_t num_records() const override { return manifest_.n_records; }
-  size_t num_shards() const { return shards_.size(); }
-
-  void read(uint64_t i, sam::AlignmentRecord& rec) const override;
-  std::pair<int32_t, int32_t> read_ref_pos(uint64_t i) const override;
-  void read_range(uint64_t begin, uint64_t end,
-                  std::vector<sam::AlignmentRecord>& out) const override;
+  Segment segment_of(uint64_t i) const override;
   void read_raw_range(uint64_t begin, uint64_t end,
                       std::string& out) const override;
+  size_t num_shards() const { return shards_.size(); }
 
  private:
-  /// Index of the shard holding global record `i`.
-  size_t shard_of(uint64_t i) const;
+  /// A segment and where its bytes start inside its shard.
+  struct Placed {
+    Segment segment;
+    uint32_t shard = 0;
+    uint64_t offset = 0;
+  };
+
+  /// The segment holding record `i`.
+  const Placed& placed_of(uint64_t i) const;
 
   BamxManifest manifest_;
-  std::vector<BamxReader> shards_;
-  std::vector<uint64_t> bases_;  // shards_[k] starts at bases_[k]; +1 sentinel
+  std::vector<InputFile> shards_;
+  std::vector<Placed> segments_;  // in record order
 };
 
 /// Opens `path` as a RecordSource, sniffing the magic: a BAMXM manifest

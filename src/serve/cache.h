@@ -1,7 +1,8 @@
 // ngsx/serve/cache.h
 //
 // Hot-block cache for the serving daemon: raw encoded BAMX record blocks
-// (fixed stride × records_per_block bytes) kept under an LRU byte budget.
+// (records_per_block records, at their segments' strides) kept under an
+// LRU byte budget.
 //
 // Region queries over a resident shard set hit the same hot loci again and
 // again (an IGV user scrubbing a gene, a pileup service polling a panel).
@@ -11,10 +12,13 @@
 // in-flight request that touches it (shared_ptr keeps an evicted block
 // alive for readers still holding it).
 //
-// The cache is keyed by block index alone, so one BlockCache serves one
-// RecordSource (the daemon has exactly one). Concurrent misses on the same
-// block may both read it; the second insert is discarded — simpler than
-// single-flight and harmless for a read-only source.
+// A block that crosses a segment bound holds one piece per segment, each
+// read with one read_raw_range and decoded under its own layout, so a hit
+// never has to look the segment up. The cache is keyed by block index
+// alone, so one BlockCache serves one RecordSource (the daemon has exactly
+// one). Concurrent misses on the same block may both read it; the second
+// insert is discarded — simpler than single-flight and harmless for a
+// read-only source.
 
 #pragma once
 
@@ -24,6 +28,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/session.h"
 #include "formats/bamx.h"
@@ -32,6 +37,13 @@ namespace ngsx::serve {
 
 class BlockCache {
  public:
+  /// One cached block: the raw bytes of its segment pieces, back to back,
+  /// and the pieces (each a segment clipped to the block).
+  struct Block {
+    std::string bytes;
+    std::vector<bamx::Segment> pieces;  // in record order
+  };
+
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -46,11 +58,12 @@ class BlockCache {
 
   uint64_t records_per_block() const { return records_per_block_; }
 
-  /// The raw bytes of block `block_index` (records [b*rpb, min(n, (b+1)*rpb))
-  /// of `source`), from cache or via one read_raw_range on miss.
-  /// Thread-safe; also bumps serve.cache.{hits,misses} when metrics are on.
-  std::shared_ptr<const std::string> block(const bamx::RecordSource& source,
-                                           uint64_t block_index);
+  /// Block `block_index` (records [b*rpb, min(n, (b+1)*rpb)) of
+  /// `source`), from cache or via one read_raw_range per segment piece on
+  /// miss. Thread-safe; also bumps serve.cache.{hits,misses} when metrics
+  /// are on.
+  std::shared_ptr<const Block> block(const bamx::RecordSource& source,
+                                     uint64_t block_index);
 
   Stats stats() const;
 
@@ -59,7 +72,7 @@ class BlockCache {
 
   struct Entry {
     uint64_t block_index = 0;
-    std::shared_ptr<const std::string> bytes;
+    std::shared_ptr<const Block> block;
   };
 
   const size_t byte_budget_;

@@ -6,8 +6,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <list>
 #include <thread>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "serve/protocol.h"
@@ -120,7 +120,11 @@ void Server::serve_unix(const std::string& socket_path) {
   }
   listen_fd_.store(fd, std::memory_order_release);
 
-  std::vector<std::thread> connections;
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> connections;
   while (!shutdown_requested()) {
     const int conn = ::accept(fd, nullptr, nullptr);
     if (conn < 0) {
@@ -133,7 +137,17 @@ void Server::serve_unix(const std::string& socket_path) {
       std::lock_guard<std::mutex> lock(open_connections_mu_);
       open_connections_.push_back(conn);
     }
-    connections.emplace_back([this, conn] {
+    // Join the connections that have ended, so an exited thread's stack
+    // is not held for the daemon's lifetime.
+    connections.remove_if([](Connection& c) {
+      if (!c.done.load(std::memory_order_acquire)) {
+        return false;
+      }
+      c.thread.join();
+      return true;
+    });
+    Connection& connection = connections.emplace_back();
+    connection.thread = std::thread([this, conn, &done = connection.done] {
       static obs::Counter& connection_counter =
           obs::counter("serve.connections");
       connection_counter.add(1);
@@ -185,6 +199,7 @@ void Server::serve_unix(const std::string& socket_path) {
         std::erase(open_connections_, conn);
       }
       ::close(conn);
+      done.store(true, std::memory_order_release);
     });
   }
 
@@ -199,8 +214,8 @@ void Server::serve_unix(const std::string& socket_path) {
       ::shutdown(conn, SHUT_RD);
     }
   }
-  for (std::thread& t : connections) {
-    t.join();
+  for (Connection& c : connections) {
+    c.thread.join();
   }
   // Drain in-flight work before the caller tears anything down.
   scheduler_->shutdown();

@@ -5,9 +5,10 @@
 // reachable over a Unix-domain socket or driven in-process (--once mode
 // and tests use handle_line directly — same code path, no socket).
 //
-// Concurrency model: every accepted connection gets a reader thread; a
-// CONVERT blocks its connection thread in Scheduler::submit while the
-// work multiplexes onto the shared exec::Pool. Admission control lives in
+// Concurrency model: every accepted connection gets a reader thread, and
+// each accept joins the threads whose connections have ended; a CONVERT
+// blocks its connection thread in Scheduler::submit while the work
+// multiplexes onto the shared exec::Pool. Admission control lives in
 // the scheduler, so a flood of connections degrades into fast typed
 // "backpressure" rejects, not unbounded queueing.
 

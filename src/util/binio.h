@@ -84,7 +84,7 @@ class ByteReader {
 
   /// Reads `n` raw bytes.
   std::string_view read_bytes(size_t n) {
-    if (pos_ + n > data_.size()) {
+    if (n > data_.size() - pos_) {
       throw FormatError("truncated read of " + std::to_string(n) +
                         " bytes at offset " + std::to_string(pos_));
     }
@@ -106,7 +106,7 @@ class ByteReader {
   }
 
   void skip(size_t n) {
-    if (pos_ + n > data_.size()) {
+    if (n > data_.size() - pos_) {
       throw FormatError("skip past end of buffer");
     }
     pos_ += n;

@@ -66,19 +66,6 @@ TEST(BamxLayout, StrideIsAligned) {
   EXPECT_GE(layout.stride(), layout.aux_offset());
 }
 
-TEST(BamxLayout, MergeTakesMaxima) {
-  BamxLayout a;
-  a.max_qname = 10;
-  a.max_seq = 100;
-  BamxLayout b;
-  b.max_qname = 20;
-  b.max_cigar = 7;
-  a.merge(b);
-  EXPECT_EQ(a.max_qname, 20u);
-  EXPECT_EQ(a.max_seq, 100u);
-  EXPECT_EQ(a.max_cigar, 7u);
-}
-
 TEST(BamxLayout, FitsRejectsOversize) {
   BamxLayout layout;
   layout.accommodate(sample_record(1));
@@ -786,41 +773,248 @@ TEST(BamxFile, RawRangeMatchesEncodedRecords) {
   EXPECT_THROW(r.read_raw_range(0, f.records.size() + 1, raw), Error);
 }
 
-TEST(BamxFile, RawRangeAcrossShards) {
-  FileFixture f;  // 200 records, shared layout
-  // Hand-shard the fixture's records into three BAMX files plus manifest.
-  const std::vector<std::pair<uint64_t, uint64_t>> parts = {
-      {0, 80}, {80, 130}, {130, 200}};
+/// A BAMXM dataset over FileFixture's 200 records: two shards of bare
+/// record bytes holding three segments, each under the layout measured
+/// over its own records, the middle one (in shard 1) padded further.
+struct ShardedFixture {
+  FileFixture f;
   BamxManifest m;
-  m.layout = f.layout;
-  m.n_records = f.records.size();
-  for (size_t s = 0; s < parts.size(); ++s) {
-    std::string name = "shard-" + std::to_string(s) + ".bamx";
-    BamxWriter w(f.tmp.file(name), test_header(), f.layout);
-    for (uint64_t i = parts[s].first; i < parts[s].second; ++i) {
-      w.write(f.records[i]);
-    }
-    w.close();
-    m.shards.push_back(
-        {name, parts[s].second - parts[s].first, parts[s].first});
-  }
-  std::string manifest = f.tmp.file("t.bamxm");
-  m.save(manifest);
+  std::string manifest;
 
-  ShardedBamxReader sharded(manifest);
-  BamxReader mono(f.path);
-  // Ranges fully inside a shard, touching a boundary, and spanning all
-  // three shards must all match the monolithic bytes exactly.
-  for (auto [beg, end] : std::vector<std::pair<uint64_t, uint64_t>>{
-           {0, 0}, {5, 40}, {78, 82}, {80, 130}, {60, 170}, {0, 200}}) {
-    std::string a, b;
-    mono.read_raw_range(beg, end, a);
-    sharded.read_raw_range(beg, end, b);
-    EXPECT_EQ(a, b) << "range [" << beg << ", " << end << ")";
-    EXPECT_EQ(a.size(), (end - beg) * f.layout.stride());
+  ShardedFixture() {
+    struct Part {
+      uint64_t begin, end;
+      uint32_t shard;
+    };
+    m.header = test_header();
+    m.n_records = f.records.size();
+    m.shards = {"s-shard-0.bamx", "s-shard-1.bamx"};
+    std::vector<std::string> bytes(m.shards.size());
+    for (const Part& part :
+         std::vector<Part>{{0, 80, 0}, {80, 130, 1}, {130, 200, 0}}) {
+      BamxLayout layout;
+      for (uint64_t i = part.begin; i < part.end; ++i) {
+        layout.accommodate(f.records[i]);
+      }
+      if (part.shard == 1) {
+        layout.max_aux += 9;
+      }
+      for (uint64_t i = part.begin; i < part.end; ++i) {
+        encode_record(f.records[i], layout, bytes[part.shard]);
+      }
+      m.segments.push_back({part.shard, layout, part.end - part.begin});
+    }
+    for (size_t k = 0; k < m.shards.size(); ++k) {
+      write_file(shard_path(k), bytes[k]);
+    }
+    manifest = f.tmp.file("s.bamxm");
+    m.save(manifest);
   }
+
+  std::string shard_path(size_t k) const { return f.tmp.file(m.shards[k]); }
+
+  /// Encodes records [begin, end) under `layout`.
+  std::string encoded(uint64_t begin, uint64_t end,
+                      const BamxLayout& layout) const {
+    std::string out;
+    for (uint64_t i = begin; i < end; ++i) {
+      encode_record(f.records[i], layout, out);
+    }
+    return out;
+  }
+};
+
+TEST(BamxFile, RawRangeAcrossShards) {
+  ShardedFixture s;
+  ASSERT_NE(s.m.segments[0].layout, s.m.segments[1].layout);
+  ASSERT_NE(s.m.segments[0].layout, s.m.segments[2].layout);
+  ShardedBamxReader sharded(s.manifest);
+  EXPECT_EQ(sharded.num_shards(), 2u);
+  EXPECT_EQ(sharded.header(), test_header());
+
+  // Segment lookup: bases are prefix sums, each with its own layout.
+  EXPECT_EQ(sharded.segment_of(0).end, 80u);
+  EXPECT_EQ(sharded.segment_of(79).end, 80u);
+  EXPECT_EQ(sharded.segment_of(80).begin, 80u);
+  EXPECT_EQ(sharded.segment_of(129).layout, s.m.segments[1].layout);
+  EXPECT_EQ(sharded.segment_of(199).begin, 130u);
+
+  // Raw ranges inside one segment are its stored bytes.
+  const std::vector<std::tuple<uint64_t, uint64_t, size_t>> ranges = {
+      {0, 0, 0}, {5, 40, 0}, {78, 80, 0}, {80, 130, 1}, {131, 200, 2}};
+  for (auto [beg, end, seg] : ranges) {
+    std::string raw;
+    sharded.read_raw_range(beg, end, raw);
+    EXPECT_EQ(raw, s.encoded(beg, end, s.m.segments[seg].layout))
+        << "range [" << beg << ", " << end << ")";
+  }
+  // Ranges crossing a segment, or past the end, are refused.
   std::string out;
+  EXPECT_THROW(sharded.read_raw_range(78, 82, out), Error);
   EXPECT_THROW(sharded.read_raw_range(0, 201, out), Error);
+  EXPECT_TRUE(out.empty());
+
+  // Decoded reads cross segments and shards freely.
+  std::vector<AlignmentRecord> all;
+  sharded.read_range(0, 200, all);
+  EXPECT_EQ(all, s.f.records);
+  AlignmentRecord rec;
+  for (uint64_t i : {0u, 79u, 80u, 129u, 130u, 199u}) {
+    sharded.read(i, rec);
+    EXPECT_EQ(rec, s.f.records[i]) << "record " << i;
+    EXPECT_EQ(sharded.read_ref_pos(i),
+              std::make_pair(s.f.records[i].ref_id, s.f.records[i].pos));
+  }
+  EXPECT_EQ(encoded_bytes(sharded, 78, 82),
+            2 * s.m.segments[0].layout.stride() +
+                2 * s.m.segments[1].layout.stride());
+}
+
+// ------------------------------------------------------- BAMXM validation
+
+/// The FormatError message loading `path` as a manifest throws ("" and a
+/// test failure if it loads).
+std::string manifest_error(const std::string& path) {
+  try {
+    BamxManifest::load(path);
+  } catch (const FormatError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "manifest " << path << " loaded";
+  return {};
+}
+
+TEST(BamxManifest, RoundTripsEverySegment) {
+  ShardedFixture s;
+  EXPECT_EQ(BamxManifest::load(s.manifest), s.m);
+}
+
+TEST(BamxManifest, EveryTruncationIsAFormatError) {
+  ShardedFixture s;
+  const std::string bytes = read_file(s.manifest);
+  const std::string cut = s.f.tmp.file("cut.bamxm");
+  for (size_t keep = 0; keep < bytes.size(); ++keep) {
+    SCOPED_TRACE(keep);
+    write_file(cut, bytes.substr(0, keep));
+    EXPECT_NE(manifest_error(cut), "");
+  }
+  // One byte too many is refused as well.
+  write_file(cut, bytes + '\0');
+  EXPECT_NE(manifest_error(cut).find("trailing bytes"), std::string::npos);
+}
+
+TEST(BamxManifest, Version1IsRefusedByName) {
+  // A complete version-1 manifest: one global layout and contiguous
+  // shard record bases, no segment table.
+  TempDir tmp;
+  BamxLayout layout;
+  layout.accommodate(sample_record(1));
+  std::string v1("BAMXM\1", 6);
+  binio::put_le<uint16_t>(v1, 1);
+  for (uint32_t v : {layout.max_qname, layout.max_cigar, layout.max_seq,
+                     layout.max_aux}) {
+    binio::put_le<uint32_t>(v1, v);
+  }
+  binio::put_le<uint64_t>(v1, layout.stride());
+  binio::put_le<uint64_t>(v1, 0);  // n_records
+  binio::put_le<uint32_t>(v1, 1);  // n_shards
+  binio::put_le<uint64_t>(v1, 0);  // shard n_records
+  binio::put_le<uint64_t>(v1, 0);  // shard record_base
+  binio::put_le<uint16_t>(v1, 6);
+  v1 += "a.bamx";
+  const std::string path = tmp.file("v1.bamxm");
+  write_file(path, v1);
+  const std::string msg = manifest_error(path);
+  EXPECT_NE(msg.find("unsupported BAMXM version 1"), std::string::npos) << msg;
+  EXPECT_THROW(ShardedBamxReader reader(path), FormatError);
+  EXPECT_THROW(open_record_source(path), FormatError);
+}
+
+TEST(BamxManifest, SegmentShardOutOfRange) {
+  ShardedFixture s;
+  BamxManifest bad = s.m;
+  bad.segments[1].shard = 2;
+  bad.save(s.manifest);
+  EXPECT_NE(manifest_error(s.manifest).find("names shard 2 of 2"),
+            std::string::npos);
+}
+
+TEST(BamxManifest, CountsMustSumToTotal) {
+  ShardedFixture s;
+  for (uint64_t total : {uint64_t{199}, uint64_t{201}}) {
+    BamxManifest bad = s.m;
+    bad.n_records = total;
+    bad.save(s.manifest);
+    EXPECT_NE(manifest_error(s.manifest).find("do not sum"),
+              std::string::npos);
+  }
+}
+
+TEST(BamxManifest, OverflowingSegmentSize) {
+  ShardedFixture s;
+  BamxManifest bad = s.m;
+  // n_records × stride wraps 64 bits; the counts still sum.
+  const uint64_t huge = UINT64_MAX / bad.segments[1].layout.stride() + 1;
+  bad.n_records += huge - bad.segments[1].n_records;
+  bad.segments[1].n_records = huge;
+  bad.save(s.manifest);
+  EXPECT_NE(manifest_error(s.manifest).find("overflows"), std::string::npos);
+  // Two segments that fit alone but overflow their shard together.
+  bad = s.m;
+  const uint64_t half = UINT64_MAX / 2 / bad.segments[0].layout.stride() + 1;
+  bad.segments[0].n_records = half;
+  bad.segments[2].layout = bad.segments[0].layout;
+  bad.segments[2].n_records = half;
+  bad.n_records = 2 * half + bad.segments[1].n_records;
+  bad.save(s.manifest);
+  EXPECT_NE(manifest_error(s.manifest).find("overflows"), std::string::npos);
+}
+
+TEST(BamxManifest, EmptyFileAndNoShardsRefused) {
+  TempDir tmp;
+  const std::string path = tmp.file("e.bamxm");
+  write_file(path, "");
+  EXPECT_NE(manifest_error(path), "");
+  BamxManifest none;
+  none.header = test_header();
+  none.save(path);
+  EXPECT_NE(manifest_error(path).find("no shards"), std::string::npos);
+}
+
+TEST(BamxManifest, ZeroSegmentsIsAnEmptyDataset) {
+  TempDir tmp;
+  BamxManifest m;
+  m.header = test_header();
+  m.shards = {"z-shard-0.bamx", "z-shard-1.bamx"};
+  for (const std::string& shard : m.shards) {
+    write_file(tmp.file(shard), "");
+  }
+  m.save(tmp.file("z.bamxm"));
+  ShardedBamxReader reader(tmp.file("z.bamxm"));
+  EXPECT_EQ(reader.num_records(), 0u);
+  std::vector<AlignmentRecord> none;
+  reader.read_range(0, 0, none);
+  EXPECT_TRUE(none.empty());
+  AlignmentRecord rec;
+  EXPECT_THROW(reader.read(0, rec), Error);
+}
+
+TEST(ShardedBamxReader, ShardOneByteShortOrLongRefused) {
+  for (bool longer : {false, true}) {
+    SCOPED_TRACE(longer ? "long" : "short");
+    ShardedFixture s;
+    std::string bytes = read_file(s.shard_path(1));
+    write_file(s.shard_path(1), longer ? bytes + 'x'
+                                       : bytes.substr(0, bytes.size() - 1));
+    try {
+      ShardedBamxReader reader(s.manifest);
+      ADD_FAILURE() << "reader opened a resized shard";
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("s-shard-1.bamx"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ------------------------------------------------------ open_record_source

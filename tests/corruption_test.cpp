@@ -32,6 +32,7 @@ struct Corpus {
   std::string bamx_path;
   std::string baix_path;
   std::string bai_path;
+  std::string bamxm_path;
 
   Corpus() {
     auto genome = simdata::ReferenceGenome::simulate(
@@ -74,6 +75,32 @@ struct Corpus {
       bamx::BaixIndex::build(reader).save(baix_path);
     }
     bai::BaiIndex::build(bam_path).save(bai_path);
+
+    // The same records as a BAMXM dataset: three segments, each under its
+    // own layout, alternating between two shards.
+    bamx::BamxManifest m;
+    m.header = genome.header();
+    m.n_records = records.size();
+    m.shards = {"c-shard-0.bamx", "c-shard-1.bamx"};
+    std::vector<std::string> shards(m.shards.size());
+    const size_t third = records.size() / 3;
+    for (uint32_t s = 0; s < 3; ++s) {
+      const size_t begin = s * third;
+      const size_t end = s == 2 ? records.size() : begin + third;
+      bamx::BamxLayout seg_layout;
+      for (size_t i = begin; i < end; ++i) {
+        seg_layout.accommodate(records[i]);
+      }
+      for (size_t i = begin; i < end; ++i) {
+        bamx::encode_record(records[i], seg_layout, shards[s % 2]);
+      }
+      m.segments.push_back({s % 2, seg_layout, end - begin});
+    }
+    for (size_t k = 0; k < shards.size(); ++k) {
+      write_file(tmp.file(m.shards[k]), shards[k]);
+    }
+    bamxm_path = tmp.file("c.bamxm");
+    m.save(bamxm_path);
   }
 };
 
@@ -215,6 +242,28 @@ TEST_P(CorruptionSeeds, BamxTruncationsNeverCrash) {
     }
   } catch (const Error&) {
   }
+}
+
+/// Opens a manifest and reads every record: typed errors only.
+void read_manifest_dataset(const std::string& path) {
+  try {
+    bamx::ShardedBamxReader reader(path);
+    std::vector<AlignmentRecord> records;
+    reader.read_range(0, reader.num_records(), records);
+  } catch (const Error&) {
+  }
+}
+
+TEST_P(CorruptionSeeds, BamxmFlipsNeverCrash) {
+  Corpus& c = corpus();
+  read_manifest_dataset(corrupt_copy(c.bamxm_path, GetParam() + 800, 3,
+                                     c.tmp.file("x.bamxm")));
+}
+
+TEST_P(CorruptionSeeds, BamxmTruncationsNeverCrash) {
+  Corpus& c = corpus();
+  read_manifest_dataset(
+      truncate_copy(c.bamxm_path, GetParam() + 900, c.tmp.file("t.bamxm")));
 }
 
 TEST_P(CorruptionSeeds, BaixFlipsNeverCrash) {

@@ -330,13 +330,16 @@ TEST_P(FaultMatrix, ConvertSamAbsorbsTransientFaultsWithinBudget) {
 // 2. BAM format converter (preprocess + parallel conversion).
 // ---------------------------------------------------------------------------
 
-/// Invariant 3 for the preprocessors' scratch file: the single-pass BAM
-/// preprocessor stages chunk blobs in "<manifest>.segs.tmp".
-void expect_no_staging_segments(const std::string& dir) {
+/// What a failed BAM preprocess may leave behind: no staging file
+/// ("*.tmp*") and no shard under its final name, even one committed before
+/// the failure.
+void expect_no_shards_left(const std::string& dir) {
   for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-    EXPECT_EQ(entry.path().filename().string().find(".segs.tmp"),
-              std::string::npos)
-        << "leaked staging segments: " << entry.path();
+    const std::string name = entry.path().filename().string();
+    EXPECT_EQ(name.find(".tmp"), std::string::npos)
+        << "leaked staging file: " << entry.path();
+    EXPECT_EQ(name.find("-shard-"), std::string::npos)
+        << "shard left behind: " << entry.path();
   }
 }
 
@@ -356,17 +359,35 @@ TEST_P(FaultMatrix, PreprocessBamSurvivesWriteAndReadFaults) {
   preprocess(clean_dir);
   auto clean = snapshot(clean_dir);
 
-  // Shards (several files), the BAIX, and the manifest with the staging
-  // file named after it (one operation of each kind per file).
+  // The commit stage writes each chunk (64 records) straight to its shard,
+  // so a fault on a later write or past half a shard lands mid-pipeline,
+  // with chunks still in flight.
+  std::vector<FaultCase> shard_cases = write_fault_cases(/*multi_op=*/true);
+  for (uint64_t at : {2, 3}) {
+    shard_cases.push_back(
+        {"write-error@" + std::to_string(at),
+         make_fault(io::Op::kWrite, io::FaultKind::kError, at),
+         "[injected fault]"});
+  }
+  shard_cases.push_back(
+      {"enospc@half-shard",
+       make_fault(io::Op::kWrite, io::FaultKind::kEnospc,
+                  clean.at("x-shard-0.bamx").size() / 2),
+       "No space left on device [injected fault]"});
+
+  // Shards (several files), the BAIX, and the manifest (one operation of
+  // each kind per file).
   int i = 0;
-  for (const auto& [substr, multi_op] :
-       std::vector<std::pair<std::string, bool>>{
-           {"-shard-", true}, {".baix", false}, {".bamxm", false}}) {
+  for (const auto& [substr, cases] :
+       std::vector<std::pair<std::string, std::vector<FaultCase>>>{
+           {"-shard-", shard_cases},
+           {".baix", write_fault_cases(/*multi_op=*/false)},
+           {".bamxm", write_fault_cases(/*multi_op=*/false)}}) {
     SCOPED_TRACE(substr);
-    for (const FaultCase& fc : write_fault_cases(multi_op)) {
+    for (const FaultCase& fc : cases) {
       const std::string dir = tmp.subdir("w" + std::to_string(i++));
       expect_fault(fc, substr, dir, [&] { preprocess(dir); }, clean);
-      expect_no_staging_segments(dir);
+      expect_no_shards_left(dir);
       preprocess(dir);
       expect_identical(snapshot(dir), clean);
     }
@@ -375,7 +396,7 @@ TEST_P(FaultMatrix, PreprocessBamSurvivesWriteAndReadFaults) {
   for (const FaultCase& fc : read_fault_cases()) {
     const std::string dir = tmp.subdir("r" + std::to_string(i++));
     expect_fault(fc, "in.bam", dir, [&] { preprocess(dir); }, clean);
-    expect_no_staging_segments(dir);
+    expect_no_shards_left(dir);
     preprocess(dir);
     expect_identical(snapshot(dir), clean);
   }

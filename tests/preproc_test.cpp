@@ -1,9 +1,8 @@
 // Tests for the preprocessors and their one on-disk layout (BAMXM shard
-// manifests + merged BAIX): byte-identity of the single-pass parallel BAM
-// preprocessor against a sequential encoder local to this test, SAM- vs
-// BAM-derived datasets, the ShardedBamxReader record-space view, manifest
-// validation, and crash-consistency when a shard committer dies
-// mid-preprocess.
+// manifests + merged BAIX): every published segment against a sequential
+// encode of its records under its own layout, SAM- vs BAM-derived
+// datasets, the ShardedBamxReader record-space view, manifest validation,
+// and crash-consistency when a shard committer dies mid-preprocess.
 
 #include <gtest/gtest.h>
 
@@ -49,14 +48,6 @@ struct Dataset {
   }
 };
 
-/// The record data section of a BAMX file: the trailing n * stride bytes.
-std::string data_section(const std::string& path) {
-  bamx::BamxReader reader(path);
-  std::string all = read_file(path);
-  uint64_t data = reader.num_records() * reader.layout().stride();
-  return all.substr(all.size() - data);
-}
-
 std::string concat_outputs(const ConvertStats& stats) {
   std::string all;
   for (const auto& path : stats.outputs) {
@@ -84,6 +75,44 @@ void encode_sequentially(const Dataset& d, const std::string& bamx_path,
   bamx::BaixIndex::from_entries(std::move(entries)).save(baix_path);
 }
 
+/// The oracle for a published dataset over `records`: each shard holds
+/// exactly its segments, each segment is bamx::encode_record of its
+/// records under its own layout (the one a measuring pass over them
+/// yields), every record decodes equal to the input, and the BAIX equals
+/// BaixIndex::from_entries over all records.
+void expect_dataset(const std::string& manifest_path,
+                    const std::string& baix_path,
+                    const std::vector<AlignmentRecord>& records) {
+  const bamx::BamxManifest m = bamx::BamxManifest::load(manifest_path);
+  ASSERT_EQ(m.n_records, records.size());
+  std::vector<std::string> shards(m.shards.size());
+  uint64_t base = 0;
+  for (const bamx::ManifestSegment& seg : m.segments) {
+    bamx::BamxLayout measured;
+    for (uint64_t i = base; i < base + seg.n_records; ++i) {
+      measured.accommodate(records[i]);
+      bamx::encode_record(records[i], seg.layout, shards[seg.shard]);
+    }
+    EXPECT_EQ(seg.layout, measured) << "segment at record " << base;
+    base += seg.n_records;
+  }
+  const std::string dir = fs::path(manifest_path).parent_path().string();
+  for (size_t k = 0; k < m.shards.size(); ++k) {
+    EXPECT_EQ(read_file(dir + "/" + m.shards[k]), shards[k]) << m.shards[k];
+  }
+  std::vector<AlignmentRecord> decoded;
+  bamx::ShardedBamxReader(manifest_path).read_range(0, records.size(),
+                                                    decoded);
+  EXPECT_EQ(decoded, records);
+  std::vector<bamx::BaixEntry> entries;
+  for (const AlignmentRecord& rec : records) {
+    entries.push_back(bamx::BaixEntry{rec.ref_id, rec.pos, entries.size()});
+  }
+  const std::string want = manifest_path + ".oracle.baix";
+  bamx::BaixIndex::from_entries(std::move(entries)).save(want);
+  EXPECT_EQ(read_file(baix_path), read_file(want));
+}
+
 /// The oracle's files next to a parallel preprocessor run over `d`.
 /// `opt` controls the parallel run.
 struct PreprocPair {
@@ -105,32 +134,27 @@ PreprocPair preprocess_both(const Dataset& d, PreprocessOptions opt) {
 
 // ----------------------------------------------------- byte identity
 
-TEST(PreprocessParallel, ShardsConcatenateToSequentialBytes) {
+TEST(PreprocessParallel, SegmentsMatchSequentialEncode) {
   Dataset d(400);
   PreprocessOptions opt;
   opt.threads = 4;
   opt.shards = 3;
-  opt.chunk_records = 37;  // many chunks -> layout merging is exercised
+  opt.chunk_records = 37;  // many chunks, so many segments per shard
   PreprocPair p = preprocess_both(d, opt);
 
   EXPECT_EQ(p.par_stats.records, d.records.size());
-
-  // The BAIX must be bit-identical: the parallel merge of per-chunk sorted
-  // runs equals the sequential stable_sort.
+  expect_dataset(p.manifest, p.par_baix, d.records);
+  // The BAIX also equals the one over the monolithic sequential encode.
   EXPECT_EQ(read_file(p.par_baix), read_file(p.seq_baix));
 
-  // The shards, concatenated in manifest order, must reproduce the
-  // sequential BAMX data section byte for byte (same global layout, same
-  // record order, same encoding).
+  // Chunk t is segment t, in shard t % 3.
   bamx::BamxManifest manifest = bamx::BamxManifest::load(p.manifest);
-  bamx::BamxReader seq(p.seq_bamx);
-  EXPECT_EQ(manifest.layout, seq.layout());
-  EXPECT_EQ(manifest.n_records, seq.num_records());
-  std::string concat;
-  for (const auto& shard : manifest.shards) {
-    concat += data_section(d.tmp.file(shard.path));
+  ASSERT_EQ(manifest.segments.size(), (d.records.size() + 36) / 37);
+  for (size_t t = 0; t < manifest.segments.size(); ++t) {
+    EXPECT_EQ(manifest.segments[t].shard, t % 3);
+    EXPECT_EQ(manifest.segments[t].n_records,
+              std::min<uint64_t>(37, d.records.size() - 37 * t));
   }
-  EXPECT_EQ(concat, data_section(p.seq_bamx));
 }
 
 TEST(PreprocessParallel, FullConversionMatchesSequentialPreprocess) {
@@ -192,30 +216,25 @@ TEST(PreprocessParallel, Baix2BuildsOverManifest) {
 // ------------------------------------------------ SAM- vs BAM-derived
 
 /// Asserts that two published datasets agree on everything that must not
-/// depend on the preprocessor: the BAIX bytes, the manifest's layout and
-/// record count, and the shard data sections concatenated in manifest
-/// order. (Shard boundaries may differ: Algorithm-1 byte partitions vs
-/// even record splits.)
+/// depend on the preprocessor: the BAIX bytes, the record count and the
+/// decoded records. (Segments and shards differ: one Algorithm-1
+/// partition per rank vs one chunk per segment.)
 void expect_same_dataset(const std::string& dir, const std::string& a,
                          const std::string& b) {
   EXPECT_EQ(read_file(dir + "/" + a + ".baix"),
             read_file(dir + "/" + b + ".baix"));
-  auto concat = [&](const bamx::BamxManifest& m) {
-    std::string data;
-    for (const auto& shard : m.shards) {
-      data += data_section(dir + "/" + shard.path);
-    }
-    return data;
-  };
-  auto ma = bamx::BamxManifest::load(dir + "/" + a + ".bamxm");
-  auto mb = bamx::BamxManifest::load(dir + "/" + b + ".bamxm");
-  EXPECT_EQ(ma.layout, mb.layout);
-  EXPECT_EQ(ma.n_records, mb.n_records);
-  EXPECT_EQ(concat(ma), concat(mb));
+  bamx::ShardedBamxReader ra(dir + "/" + a + ".bamxm");
+  bamx::ShardedBamxReader rb(dir + "/" + b + ".bamxm");
+  ASSERT_EQ(ra.num_records(), rb.num_records());
+  std::vector<AlignmentRecord> records_a, records_b;
+  ra.read_range(0, ra.num_records(), records_a);
+  rb.read_range(0, rb.num_records(), records_b);
+  EXPECT_EQ(records_a, records_b);
 }
 
 /// Runs both preprocessors with M shards over `d` (SAM at M ranks, BAM at
-/// M shards) and checks that they publish the same dataset.
+/// M shards), checks each against the oracle and that they publish the
+/// same dataset.
 void expect_sam_matches_bam(const Dataset& d, int m) {
   SCOPED_TRACE("M=" + std::to_string(m));
   const std::string sam = "sam" + std::to_string(m);
@@ -232,6 +251,10 @@ void expect_sam_matches_bam(const Dataset& d, int m) {
   EXPECT_EQ(bam_stats.records, d.records.size());
   EXPECT_EQ(bamx::ShardedBamxReader(d.tmp.file(sam + ".bamxm")).num_shards(),
             static_cast<size_t>(m));
+  expect_dataset(d.tmp.file(sam + ".bamxm"), d.tmp.file(sam + ".baix"),
+                 d.records);
+  expect_dataset(d.tmp.file(bam + ".bamxm"), d.tmp.file(bam + ".baix"),
+                 d.records);
   expect_same_dataset(d.tmp.path(), sam, bam);
 }
 
@@ -330,15 +353,20 @@ TEST(PreprocessParallel, EmptyBamYieldsEmptyManifest) {
 TEST(BamxManifest, RoundTripAndValidation) {
   TempDir tmp;
   bamx::BamxManifest m;
-  m.layout.max_qname = 10;
-  m.layout.max_seq = 50;
+  m.header = sam::SamHeader::from_references({{"chr1", 1000}});
   m.n_records = 30;
-  m.shards = {{"a.bamx", 10, 0}, {"b.bamx", 0, 10}, {"c.bamx", 20, 10}};
+  m.shards = {"a.bamx", "b.bamx"};
+  bamx::BamxLayout small;
+  small.max_qname = 10;
+  small.max_seq = 50;
+  bamx::BamxLayout big = small;
+  big.max_aux = 40;
+  m.segments = {{0, small, 10}, {1, big, 0}, {0, big, 20}};
   const std::string path = tmp.file("m.bamxm");
   m.save(path);
   EXPECT_EQ(bamx::BamxManifest::load(path), m);
 
-  // Truncation anywhere inside the payload must be detected.
+  // Truncation inside the segment table must be detected.
   std::string bytes = read_file(path);
   write_file(path, bytes.substr(0, bytes.size() - 3));
   EXPECT_THROW(bamx::BamxManifest::load(path), FormatError);
@@ -349,13 +377,7 @@ TEST(BamxManifest, RoundTripAndValidation) {
   write_file(path, bad);
   EXPECT_THROW(bamx::BamxManifest::load(path), FormatError);
 
-  // Non-contiguous record bases.
-  bamx::BamxManifest gap = m;
-  gap.shards[2].record_base = 11;
-  gap.save(path);
-  EXPECT_THROW(bamx::BamxManifest::load(path), FormatError);
-
-  // Shard counts not summing to the total.
+  // Segment counts not summing to the total.
   bamx::BamxManifest sum = m;
   sum.n_records = 31;
   sum.save(path);
@@ -367,19 +389,19 @@ TEST(BamxManifest, RoundTripAndValidation) {
   EXPECT_THROW(bamx::BamxManifest::load(path), FormatError);
 }
 
-TEST(ShardedBamxReader, RejectsShardLayoutMismatch) {
+TEST(ShardedBamxReader, RejectsShardSizeMismatch) {
   Dataset d(80);
   PreprocessOptions opt;
   opt.threads = 2;
   opt.shards = 2;
   PreprocPair p = preprocess_both(d, opt);
 
-  // Point the manifest at a shard whose layout differs from the global
-  // one (the sequential monolith is a convenient wrong-stride stand-in
-  // only if its record count also matches, so fake a count mismatch too).
+  // A shard whose size disagrees with its segments (here: one record of
+  // another dataset appended) must not open.
   bamx::BamxManifest m = bamx::BamxManifest::load(p.manifest);
-  m.shards[0].path = "seq.bamx";
-  m.save(p.manifest);
+  const std::string shard = d.tmp.file(m.shards[0]);
+  write_file(shard, read_file(shard) + std::string(
+                                           m.segments[0].layout.stride(), 0));
   EXPECT_THROW(bamx::ShardedBamxReader reader(p.manifest), FormatError);
 }
 

@@ -17,6 +17,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <limits>
 #include <mutex>
@@ -67,7 +68,11 @@ struct ServeData {
     bamx = tmp.file("in.bamxm");
     baix = tmp.file("in.baix");
     baix2 = tmp.file("in.baix2");
-    core::preprocess_bam_parallel(bam, bamx, baix);
+    // Chunks of 100 records: five segments, so every serving path reads
+    // across segments with different layouts.
+    core::PreprocessOptions opt;
+    opt.chunk_records = 100;
+    core::preprocess_bam_parallel(bam, bamx, baix, opt);
     core::build_baix2(bamx, baix2);
   }
 };
@@ -415,16 +420,17 @@ TEST(ServeScheduler, FiltersWithoutBaix2AreBadRequest) {
 TEST(ServeCache, HitMissEvictionAccounting) {
   ServeData d;
   bamx::ShardedBamxReader source(d.bamx);
-  const uint64_t stride = source.layout().stride();
+  const uint64_t stride = source.segment_of(0).layout.stride();
   const uint64_t rpb = 16;
+  ASSERT_GE(source.segment_of(0).end, 3 * rpb);  // blocks 0-2: one piece
   // Budget of exactly two full blocks.
   BlockCache cache(static_cast<size_t>(2 * rpb * stride), rpb);
 
   auto b0 = cache.block(source, 0);
-  EXPECT_EQ(b0->size(), rpb * stride);
+  EXPECT_EQ(b0->bytes.size(), rpb * stride);
   std::string direct;
   source.read_raw_range(0, rpb, direct);
-  EXPECT_EQ(*b0, direct);
+  EXPECT_EQ(b0->bytes, direct);
 
   cache.block(source, 0);  // hit
   cache.block(source, 1);  // miss; resident {0, 1}
@@ -440,13 +446,42 @@ TEST(ServeCache, HitMissEvictionAccounting) {
   EXPECT_LE(stats.bytes, 2 * rpb * stride);
 }
 
+TEST(ServeCache, BlockAcrossSegmentsHoldsOnePiecePerSegment) {
+  ServeData d;
+  bamx::ShardedBamxReader source(d.bamx);
+  const bamx::Segment first = source.segment_of(99);
+  const bamx::Segment next = source.segment_of(100);
+  ASSERT_EQ(first.end, 100u);
+  ASSERT_NE(first.layout, next.layout);
+  // Block 6 of 16 records is records [96, 112): 4 of one segment and 12
+  // of the next, each read and decoded under its own layout.
+  BlockCache cache(1 << 20, 16);
+  auto block = cache.block(source, 6);
+  ASSERT_EQ(block->pieces.size(), 2u);
+  EXPECT_EQ(block->pieces[0].begin, 96u);
+  EXPECT_EQ(block->pieces[1].end, 112u);
+  std::string direct;
+  source.read_raw_range(96, 100, direct);
+  source.read_raw_range(100, 112, direct);
+  EXPECT_EQ(block->bytes, direct);
+  CachedFetcher fetcher(source, cache);
+  AlignmentRecord want, got;
+  for (uint64_t i : {96u, 99u, 100u, 111u}) {
+    source.read(i, want);
+    fetcher.fetch(i, got);
+    EXPECT_EQ(got, want) << "record " << i;
+  }
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
 TEST(ServeCache, CachedFetcherDecodesIdentically) {
   ServeData d;
   bamx::ShardedBamxReader source(d.bamx);
   BlockCache cache(1 << 20, 8);
   CachedFetcher fetcher(source, cache);
   AlignmentRecord direct, cached;
-  const std::vector<uint64_t> probes = {0, 7, 8, 63, source.num_records() - 1};
+  const std::vector<uint64_t> probes = {
+      0, 7, 8, 63, 99, 100, 101, 399, 400, source.num_records() - 1};
   for (uint64_t i : probes) {
     source.read(i, direct);
     fetcher.fetch(i, cached);
@@ -696,6 +731,57 @@ TEST(ServeSocket, IdleClientDoesNotHoldShutdownHostage) {
   daemon.join();
   ::close(admin);
   EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+/// This process's virtual size in kB (the VmSize line of
+/// /proc/self/status).
+int64_t vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoll(line.substr(7));
+    }
+  }
+  ADD_FAILURE() << "no VmSize in /proc/self/status";
+  return 0;
+}
+
+TEST(ServeSocket, ConnectionChurnDoesNotGrowTheProcess) {
+  ServeData d(20);
+  ConversionSession session(SessionOptions{d.bamx, d.baix, {}});
+  exec::Pool pool(1);
+  Server server(session, pool, {});
+  const std::string path = d.tmp.file("d.sock");
+  std::thread daemon([&] { server.serve_unix(path); });
+
+  const auto cycle = [&] {
+    const int fd = connect_unix(path);
+    ASSERT_GE(fd, 0);
+    send_all(fd, "PING\nQUIT\n");
+    EXPECT_EQ(read_for(fd, kUntilClosed, milliseconds(2000)), "OK 5\npong\n");
+    ::close(fd);
+  };
+  for (int i = 0; i < 50; ++i) {
+    cycle();
+  }
+  const int64_t before = vm_size_kb();
+  for (int i = 0; i < 250; ++i) {
+    cycle();
+  }
+  // Each ended connection's thread must be joined, not parked with its
+  // stack mapped (8 MiB apiece by default, ~2 GiB over these cycles)
+  // until shutdown. The bound leaves room for a few malloc arenas (64 MiB
+  // of address space each), which connection threads that overlap on a
+  // loaded machine can add.
+  EXPECT_LT(vm_size_kb() - before, 256 * 1024) << "kB of VmSize growth";
+
+  const int admin = connect_unix(path);
+  ASSERT_GE(admin, 0);
+  send_all(admin, "SHUTDOWN\n");
+  EXPECT_EQ(read_for(admin, 9, milliseconds(2000)), "OK 4\nbye\n");
+  daemon.join();
+  ::close(admin);
 }
 
 // -------------------------------------------------------- metrics flusher
